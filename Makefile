@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
+.PHONY: build examples test race bench perfbench lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,13 @@ race:
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repository benchmark (perfbench/, BENCHMARK.json) is a module of its
+# own that imports watter/internal/*, so ./... above never compiles it;
+# vet and test it here so an internal API change cannot break it silently.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 lint:
 	@fmtout="$$(gofmt -l .)"; \
@@ -56,7 +63,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build examples test race bench
+ci: lint staticcheck govulncheck build examples test race bench perfbench
 
 # Regenerate the checked-in DIMACS fixture from its generator (the
 # importer test fails if the two ever drift).

@@ -291,8 +291,9 @@ func runBenchSweep(path string, scale float64, seed int64, parallel int, quiet b
 }
 
 // routeRow is one city scale in the routing engine benchmark
-// (BENCH_routing.json): every query engine the graph owns — CH, ALT, cold
-// and warm cached Dijkstra — timed over the same single-pair probe set.
+// (BENCH_routing.json): the graph's CH engine and its two uncached
+// reference arms — ALT and a full Dijkstra per probe — timed over the
+// same single-pair probe set.
 type routeRow struct {
 	City             string  `json:"city"`
 	Nodes            int     `json:"nodes"`
@@ -304,7 +305,6 @@ type routeRow struct {
 	CHSecs           float64 `json:"ch_seconds"`
 	ALTSecs          float64 `json:"alt_seconds"`
 	ColdSSSPSecs     float64 `json:"cold_dijkstra_seconds"`
-	WarmSSSPSecs     float64 `json:"warm_dijkstra_seconds"`
 	SpeedupCHvsALT   float64 `json:"speedup_ch_vs_alt"`
 	SpeedupCHvsCold  float64 `json:"speedup_ch_vs_cold"`
 	SpeedupALTvsCold float64 `json:"speedup_alt_vs_cold"`
@@ -321,15 +321,13 @@ type routeReport struct {
 	Rows       []routeRow `json:"rows"`
 }
 
-// benchRouteRow times one city through all four point-to-point regimes over
-// the same probe set: the contraction hierarchy, the ALT engine it replaced
-// on large graphs, a cold full single-source Dijkstra per probe (the
-// pre-engine behavior whenever a source misses the LRU cache) and a warm
-// arm that keeps the LRU across probes (the best case the legacy path ever
-// achieved, with recurring sources). Probes are single pickup→dropoff pairs
-// — the dispatch loop's dominant query shape — drawn from a small source
-// pool so the warm arm genuinely amortizes its Dijkstras. All four arms
-// must agree bit for bit.
+// benchRouteRow times one city through three point-to-point regimes over
+// the same probe set: the contraction hierarchy, the ALT engine it replaces
+// on large graphs, and CostSSSP's full single-source Dijkstra per probe.
+// Probes are single pickup→dropoff pairs — the dispatch loop's dominant
+// query shape — whose sources come from a fixed pool of 48 nodes, the
+// probe set the committed baseline was recorded on. All three arms must
+// agree bit for bit.
 func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf func(string, ...any)) routeRow {
 	g.EnableHierarchy()
 	logf("benchroute: %s — %d nodes, %d landmarks, %d shortcuts (built in %.1fs), %d probes\n",
@@ -352,7 +350,6 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 	}
 
 	chOut := make([]float64, probes)
-	g.SetHierarchy(true)
 	start := time.Now()
 	for i, p := range work {
 		chOut[i] = g.CostPP(p.s, p.t)
@@ -369,24 +366,14 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 	coldOut := make([]float64, probes)
 	start = time.Now()
 	for i, p := range work {
-		g.FlushCache() // every probe's source is fresh: the cold path
 		coldOut[i] = g.CostSSSP(p.s, p.t)
 	}
 	coldSecs := time.Since(start).Seconds()
 
-	warmOut := make([]float64, probes)
-	g.FlushCache()
-	start = time.Now()
-	for i, p := range work {
-		// No flush: the LRU persists across probes like a live sweep.
-		warmOut[i] = g.CostSSSP(p.s, p.t)
-	}
-	warmSecs := time.Since(start).Seconds()
-
 	identical := true
 	unreachable := 0
 	for i := range chOut {
-		if chOut[i] != altOut[i] || chOut[i] != coldOut[i] || chOut[i] != warmOut[i] {
+		if chOut[i] != altOut[i] || chOut[i] != coldOut[i] {
 			identical = false
 		}
 		if math.IsInf(chOut[i], 1) {
@@ -410,7 +397,6 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 		CHSecs:           chSecs,
 		ALTSecs:          altSecs,
 		ColdSSSPSecs:     coldSecs,
-		WarmSSSPSecs:     warmSecs,
 		SpeedupCHvsALT:   altSecs / chSecs,
 		SpeedupCHvsCold:  coldSecs / chSecs,
 		SpeedupALTvsCold: coldSecs / altSecs,
@@ -421,13 +407,13 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 }
 
 // runBenchRoute benchmarks the routing oracle at two city scales: the
-// 70x70 perturbed grid (≈4.9K nodes — above the SSSP cache, below the
-// hierarchy's auto-build threshold) and the 320x320 metropolis (≈102K
-// nodes, the paper's real-city scale). The metropolis is round-tripped
-// through the DIMACS writer/importer, so the row also certifies that an
-// imported city answers bit-identically. Each row verifies CH, ALT and
-// both Dijkstra regimes agree bit for bit and records the CH build cost
-// plus the probe count that amortizes it.
+// 70x70 perturbed grid (≈4.9K nodes — below the hierarchy's auto-build
+// threshold) and the 320x320 metropolis (≈102K nodes, the paper's
+// real-city scale). The metropolis is round-tripped through the DIMACS
+// writer/importer, so the row also certifies that an imported city answers
+// bit-identically. Each row verifies CH, ALT and the reference Dijkstra
+// agree bit for bit and records the CH build cost plus the probe count
+// that amortizes it.
 func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 	logf := func(format string, args ...any) {
 		if !quiet {
@@ -471,8 +457,8 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("benchroute: %s (%d nodes)  ch=%.3fs  alt=%.3fs  cold=%.3fs  warm=%.3fs  ch-vs-alt=%.1fx  ch-vs-cold=%.1fx  build=%.1fs (amortized in %.0f probes)  identical=%v\n",
-			r.City, r.Nodes, r.CHSecs, r.ALTSecs, r.ColdSSSPSecs, r.WarmSSSPSecs,
+		fmt.Printf("benchroute: %s (%d nodes)  ch=%.3fs  alt=%.3fs  cold=%.3fs  ch-vs-alt=%.1fx  ch-vs-cold=%.1fx  build=%.1fs (amortized in %.0f probes)  identical=%v\n",
+			r.City, r.Nodes, r.CHSecs, r.ALTSecs, r.ColdSSSPSecs,
 			r.SpeedupCHvsALT, r.SpeedupCHvsCold, r.CHBuildSecs, r.AmortizeProbes, r.Identical)
 		if !r.Identical {
 			return fmt.Errorf("benchroute: %s: engines diverged from the Dijkstra reference", r.City)

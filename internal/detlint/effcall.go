@@ -191,7 +191,7 @@ func (w *walker) stdlibCall(ce *ast.CallExpr, r calleeSet) {
 	}
 	// Atomic loads are pure reads of the cell; modeling their pointer
 	// receiver as a potential write would poison every lock-free flag
-	// read (g.pinned.Load()) on otherwise pure paths.
+	// read on otherwise pure paths.
 	if pkg := r.obj.Pkg(); pkg != nil && pkg.Path() == "sync/atomic" &&
 		len(r.obj.Name()) >= 4 && r.obj.Name()[:4] == "Load" {
 		return

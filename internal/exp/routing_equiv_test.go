@@ -47,9 +47,9 @@ func graphWorkload(g *roadnet.Graph, n, m int, seed int64) ([]*order.Order, []*o
 
 // TestSimMetricsEngineEquivalence is the end-to-end acceptance test for the
 // routing engine: a full simulation over a Graph-backed city must produce
-// bit-identical Metrics whether Cost is answered by the ALT point-to-point
-// engine or by the legacy cached full Dijkstra. Wall-clock fields are the
-// documented exception.
+// bit-identical Metrics whether Cost is answered by the graph's engine or
+// by roadnet.Reference, the uncached full Dijkstra. Wall-clock fields are
+// the documented exception.
 func TestSimMetricsEngineEquivalence(t *testing.T) {
 	algs := map[string]func() sim.Algorithm{
 		"WATTER-online":  func() sim.Algorithm { return core.New(strategy.Online{}, pool.DefaultOptions()) },
@@ -60,20 +60,23 @@ func TestSimMetricsEngineEquivalence(t *testing.T) {
 	for name, mk := range algs {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			run := func(pointToPoint bool) sim.Metrics {
+			run := func(useReference bool) sim.Metrics {
 				g := roadnet.NewPerturbedGrid(12, 12, 150, 8, 0.3, 4)
-				g.SetPointToPoint(pointToPoint)
 				orders, workers := graphWorkload(g, 80, 15, 9)
-				env := sim.NewEnv(g, workers, sim.DefaultConfig())
+				var net roadnet.Network = g
+				if useReference {
+					net = roadnet.Reference(g)
+				}
+				env := sim.NewEnv(net, workers, sim.DefaultConfig())
 				opts := sim.DefaultRunOptions()
 				opts.MeasureTime = false
 				return *sim.Run(env, mk(), orders, opts)
 			}
-			engine := run(true)
-			legacy := run(false)
-			engine.DecisionSeconds, legacy.DecisionSeconds = 0, 0
-			if engine != legacy {
-				t.Fatalf("metrics diverged between engine and legacy oracle:\nengine: %+v\nlegacy: %+v", engine, legacy)
+			engine := run(false)
+			reference := run(true)
+			engine.DecisionSeconds, reference.DecisionSeconds = 0, 0
+			if engine != reference {
+				t.Fatalf("metrics diverged between engine and reference oracle:\nengine:    %+v\nreference: %+v", engine, reference)
 			}
 			if engine.Served == 0 {
 				t.Fatal("degenerate run: nothing served, equivalence is vacuous")

@@ -161,8 +161,8 @@ type SweepResult struct {
 
 // SweepRunner executes experiment matrices over a bounded worker pool.
 // Parallelism never changes results: each job owns its environment,
-// workload and metrics, and the layers shared between jobs (road-network
-// distance caches, trained models) are immutable or internally
+// workload and metrics, and the layers shared between jobs (road
+// networks, trained models) are immutable or internally
 // synchronized, so per-seed metrics are bit-identical at any Parallel.
 type SweepRunner struct {
 	Runner *Runner

@@ -195,7 +195,7 @@ func TestObserver(t *testing.T) {
 
 // TestStatsComposite pins the unified observability snapshot: the order
 // ledger matches the metrics, the pool-cache and shard counters agree with
-// the deprecated per-subsystem accessors, and lifecycle flags track state.
+// the subsystems' own counters, and lifecycle flags track state.
 func TestStatsComposite(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	fw := core.New(strategy.Online{}, pool.DefaultOptions())
@@ -234,8 +234,8 @@ func TestStatsComposite(t *testing.T) {
 	if !st.ShardActive {
 		t.Fatal("K=2 platform must expose shard stats")
 	}
-	if want, ok := p.ShardStats(); !ok || want != st.Shard {
-		t.Fatalf("shard counters diverged: %+v vs %+v (ok=%v)", st.Shard, want, ok)
+	if got := fw.ShardEngine().Stats(); got != st.Shard {
+		t.Fatalf("shard counters diverged: %+v vs %+v", st.Shard, got)
 	}
 
 	// Baselines without pool or engine report inactive, not zero-lies.

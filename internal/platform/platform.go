@@ -17,7 +17,6 @@ import (
 	"watter/internal/order"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
-	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/strategy"
 )
@@ -482,21 +481,3 @@ func (p *Platform) Env() *sim.Env { return p.env }
 
 // Algorithm returns the installed dispatch policy.
 func (p *Platform) Algorithm() sim.Algorithm { return p.stream.Alg() }
-
-// ShardStats returns the slot-sharded dispatch engine's speculation
-// counters. ok is false when no engine is running — the platform was built
-// without WithShards (or with K = 1), or the algorithm has no shardable
-// check (GDP/GAS).
-//
-// Deprecated: use Stats, which folds the same counters (Stats().Shard /
-// Stats().ShardActive) into the unified observability snapshot alongside
-// the pool cache, event-bus depth and order ledger.
-func (p *Platform) ShardStats() (shard.Stats, bool) {
-	type shardStatser interface{ ShardEngine() *shard.Engine }
-	if ss, ok := p.stream.Alg().(shardStatser); ok {
-		if eng := ss.ShardEngine(); eng != nil {
-			return eng.Stats(), true
-		}
-	}
-	return shard.Stats{}, false
-}

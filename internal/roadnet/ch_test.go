@@ -10,7 +10,7 @@ import (
 
 // TestCHMatchesALTAndSSSP is the contraction hierarchy's exactness property
 // test: random jittered, uniform, and disconnected cities are driven through
-// CH, ALT, and the cached full-Dijkstra reference in lockstep, asserting
+// CH, ALT, and the uncached full-Dijkstra reference in lockstep, asserting
 // bit-identical distances for every sampled pair — including exact +Inf for
 // unreachable ones.
 func TestCHMatchesALTAndSSSP(t *testing.T) {
@@ -154,23 +154,4 @@ func TestHierarchyDeterministic(t *testing.T) {
 	eq32("upEdge", ha.upEdge, hb.upEdge)
 	eq32("dnHead", ha.dnHead, hb.dnHead)
 	eq32("dnEdge", ha.dnEdge, hb.dnEdge)
-}
-
-// TestSetHierarchyToggle checks the fallback contract: SetHierarchy(false)
-// routes queries through the ALT arm, and the two arms agree bitwise.
-func TestSetHierarchyToggle(t *testing.T) {
-	g := NewPerturbedGrid(9, 9, 150, 8, 0.3, 7)
-	g.EnableHierarchy()
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 50; trial++ {
-		from := geo.NodeID(rng.Intn(g.NumNodes()))
-		to := geo.NodeID(rng.Intn(g.NumNodes()))
-		on := g.Cost(from, to)
-		g.SetHierarchy(false)
-		off := g.Cost(from, to)
-		g.SetHierarchy(true)
-		if math.Float64bits(on) != math.Float64bits(off) {
-			t.Fatalf("toggle mismatch at (%d,%d): ch=%v alt=%v", from, to, on, off)
-		}
-	}
 }

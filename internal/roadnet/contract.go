@@ -148,14 +148,6 @@ func (g *Graph) EnableHierarchy() {
 	}
 }
 
-// SetHierarchy toggles the CH query engine behind Cost/CostPP/CostMatrix.
-// It is on whenever the hierarchy is built; turning it off falls back to
-// the ALT engine (bit-identical answers — that equivalence is the property
-// tests' subject). Not safe to flip concurrently with queries.
-func (g *Graph) SetHierarchy(on bool) { g.chOff.Store(!on) }
-
-func (g *Graph) chReady() bool { return g.ch != nil && !g.chOff.Load() }
-
 // chBuilder is the transient contraction state.
 type chBuilder struct {
 	g     *Graph

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,10 +38,20 @@ import (
 // came from a DIMACS file or generator in the first place (the property
 // importer_test.go pins).
 
+// ErrTooManyNodes is returned (wrapped) by ReadDIMACS when a .gr header
+// declares more nodes than geo.NodeID can address.
+var ErrTooManyNodes = errors.New("roadnet: node count exceeds the NodeID range")
+
 // ReadDIMACS parses a DIMACS .gr/.co pair and builds the Graph (including
 // ALT preprocessing and, at chAutoMinNodes and above, the contraction
 // hierarchy). Every node must receive a coordinate; arcs must stay in
 // range and non-negative.
+//
+// Malformed or hostile input yields an error, never a panic. Header counts
+// are only cross-checked, never trusted for allocation: arcs are appended
+// as they are read and the n-sized node arrays are allocated only once the
+// .co file has supplied at least n vertex lines, so memory stays bounded
+// by the bytes actually read.
 func ReadDIMACS(gr, co io.Reader) (*Graph, error) {
 	n, arcs, err := readGR(gr)
 	if err != nil {
@@ -86,10 +97,12 @@ func readGR(r io.Reader) (n int, arcs []dimacsArc, err error) {
 			if n, err = strconv.Atoi(f[2]); err != nil || n <= 0 {
 				return 0, nil, fmt.Errorf("roadnet: .gr line %d: bad node count %q", line, f[2])
 			}
+			if n > math.MaxInt32 {
+				return 0, nil, fmt.Errorf("%w (.gr line %d: %d > %d)", ErrTooManyNodes, line, n, math.MaxInt32)
+			}
 			if m, err = strconv.Atoi(f[3]); err != nil || m < 0 {
 				return 0, nil, fmt.Errorf("roadnet: .gr line %d: bad arc count %q", line, f[3])
 			}
-			arcs = make([]dimacsArc, 0, m)
 		case "a":
 			if m < 0 {
 				return 0, nil, fmt.Errorf("roadnet: .gr line %d: arc before p line", line)
@@ -129,9 +142,12 @@ func readGR(r io.Reader) (n int, arcs []dimacsArc, err error) {
 func readCO(r io.Reader, n int) ([]geo.Point, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	coords := make([]geo.Point, n)
-	seen := make([]bool, n)
-	line, got := 0, 0
+	type vertex struct {
+		id int // 0-based
+		p  geo.Point
+	}
+	var vs []vertex
+	line := 0
 	for sc.Scan() {
 		line++
 		f := strings.Fields(sc.Text())
@@ -159,17 +175,32 @@ func readCO(r io.Reader, n int) ([]geo.Point, error) {
 			if id < 1 || id > n {
 				return nil, fmt.Errorf("roadnet: .co line %d: vertex id %d outside [1,%d]", line, id, n)
 			}
-			if !seen[id-1] {
-				seen[id-1] = true
-				got++
-			}
-			coords[id-1] = geo.Point{X: float64(x) / 100, Y: float64(y) / 100}
+			vs = append(vs, vertex{id - 1, geo.Point{X: float64(x) / 100, Y: float64(y) / 100}})
 		default:
 			return nil, fmt.Errorf("roadnet: .co line %d: unknown record %q", line, f[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("roadnet: reading .co: %w", err)
+	}
+	if len(vs) < n {
+		// Fewer vertex lines than nodes: some node has no coordinate. Count
+		// the distinct ids without allocating anything n-sized.
+		distinct := make(map[int]struct{}, len(vs))
+		for _, v := range vs {
+			distinct[v.id] = struct{}{}
+		}
+		return nil, fmt.Errorf("roadnet: .co covers %d of %d nodes", len(distinct), n)
+	}
+	coords := make([]geo.Point, n)
+	seen := make([]bool, n)
+	got := 0
+	for _, v := range vs {
+		if !seen[v.id] {
+			seen[v.id] = true
+			got++
+		}
+		coords[v.id] = v.p // a repeated id keeps its last coordinate
 	}
 	if got != n {
 		return nil, fmt.Errorf("roadnet: .co covers %d of %d nodes", got, n)

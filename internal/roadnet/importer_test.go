@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -121,6 +122,9 @@ func TestDIMACSErrors(t *testing.T) {
 		{"missing coordinate", "p sp 3 1\na 1 2 5\n", "v 1 0 0\nv 3 200 0\n", "covers 2 of 3"},
 		{"coord out of range", "p sp 3 1\na 1 2 5\n", "v 7 0 0\n", "outside [1,3]"},
 		{"node count clash", "p sp 3 1\na 1 2 5\n", "p aux sp co 4\n" + co3, "declares 4 nodes"},
+		{"huge arc count", "p sp 1 9223372036854775807\n", "v 1 0 0\n", "declares 9223372036854775807 arcs, has 0"},
+		{"node count beyond NodeID", "p sp 3000000000 0\n", "", "exceeds the NodeID range"},
+		{"huge node count, few vertices", "p sp 2000000000 0\n", co3, "covers 3 of 2000000000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -129,5 +133,10 @@ func TestDIMACSErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
 		})
+	}
+	// A node count geo.NodeID cannot address is a typed error.
+	_, err := ReadDIMACS(strings.NewReader("p sp 3000000000 0\n"), strings.NewReader(""))
+	if !errors.Is(err, ErrTooManyNodes) {
+		t.Fatalf("err = %v, want ErrTooManyNodes", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package roadnet provides the road-network substrate every WATTER component
-// travels on: an explicit weighted graph with Dijkstra shortest paths (used
-// for small and mid-size cities and for all correctness tests) and a
-// closed-form grid-metric city (used for large-scale benchmark sweeps where
-// millions of cost queries must stay cheap).
+// travels on: an explicit weighted graph with exact shortest paths (ALT, or
+// a contraction hierarchy at city scale, checked against an uncached
+// reference Dijkstra) and a closed-form grid-metric city (used for
+// large-scale benchmark sweeps where millions of cost queries must stay
+// cheap).
 //
 // The rest of the system depends only on the Network interface: a travel
 // time oracle cost(l1, l2) in seconds plus enough geometry to build spatial
@@ -46,8 +47,8 @@ type PathNetwork interface {
 // MatrixNetwork is an optional Network extension for batched many-to-many
 // cost queries: out[i][j] = Cost(sources[i], targets[j]). Implementations
 // answer a whole matrix with one pruned search per distinct source instead
-// of len(sources)*len(targets) independent oracle calls; Graph's ALT engine
-// implements it.
+// of len(sources)*len(targets) independent oracle calls; Graph implements
+// it.
 type MatrixNetwork interface {
 	Network
 	CostMatrix(sources, targets []geo.NodeID) [][]float64

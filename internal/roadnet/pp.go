@@ -145,17 +145,13 @@ func (sc *ppScratch) newTargetEpoch() {
 const maxHeuristicWork = 128
 
 // CostPP returns the shortest travel time from one node to another via the
-// point-to-point engine (+Inf when unreachable). Bit-identical to CostSSSP.
-// Hierarchy-enabled graphs answer through the CH engine (chquery.go); the
-// ALT arm remains reachable via SetHierarchy(false) or CostALT.
+// graph's query engine (+Inf when unreachable): the CH engine (chquery.go)
+// when the hierarchy is built, ALT otherwise. Bit-identical to CostSSSP.
 func (g *Graph) CostPP(from, to geo.NodeID) float64 {
 	if from == to {
 		return 0
 	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		return g.costSSSP(from, to)
-	}
-	if g.chReady() {
+	if g.ch != nil {
 		return g.chCostPP(from, to)
 	}
 	return g.CostALT(from, to)
@@ -208,17 +204,7 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 	if nt == 0 || len(sources) == 0 {
 		return
 	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		for i, s := range sources {
-			e := g.source(s)
-			row := out[i*nt : (i+1)*nt]
-			for j, t := range targets {
-				row[j] = float64(e.dist[t])
-			}
-		}
-		return
-	}
-	if g.chReady() {
+	if g.ch != nil {
 		g.chMatrixInto(sources, targets, maxCost, out)
 		return
 	}

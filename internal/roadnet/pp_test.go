@@ -50,7 +50,7 @@ func twoComponentCity(w, h int, seed int64) (*Graph, int) {
 
 // TestCostPPMatchesSSSPRandomGrids is the engine's exactness property test:
 // on random jittered grid cities of assorted sizes (with and without
-// landmarks), CostPP must agree bit-for-bit with the cached full-Dijkstra
+// landmarks), CostPP must agree bit-for-bit with the uncached full-Dijkstra
 // reference for every sampled pair.
 func TestCostPPMatchesSSSPRandomGrids(t *testing.T) {
 	sizes := [][2]int{{4, 4}, {5, 7}, {8, 8}, {12, 9}, {15, 15}}
@@ -238,28 +238,6 @@ func TestCostPPConcurrent(t *testing.T) {
 	}
 }
 
-// TestGraphCacheLRUHotSource is the FIFO->LRU regression test: a source
-// that is re-queried between misses must survive eviction pressure that
-// would have expelled it under insertion-order eviction.
-func TestGraphCacheLRUHotSource(t *testing.T) {
-	g := NewPerturbedGrid(6, 6, 100, 10, 0.2, 5)
-	g.SetCacheSize(3)
-	hot := geo.NodeID(0)
-	g.CostSSSP(hot, 1)
-	for src := 1; src < 20; src++ {
-		g.CostSSSP(geo.NodeID(src), geo.NodeID((src+3)%g.NumNodes()))
-		g.CostSSSP(hot, geo.NodeID(src%g.NumNodes())) // touch the hot source
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.cache) > 3 {
-		t.Fatalf("cache holds %d entries, cap 3", len(g.cache))
-	}
-	if _, ok := g.cache[hot]; !ok {
-		t.Fatal("hot source evicted despite constant hits (FIFO, not LRU)")
-	}
-}
-
 // TestLandmarksBuilt sanity-checks the preprocessing: a mid-size graph gets
 // landmarks, a tiny one skips them, and bounds are never negative.
 func TestLandmarksBuilt(t *testing.T) {
@@ -311,28 +289,9 @@ func BenchmarkLegMatrixEngine(b *testing.B) {
 	}
 }
 
-// ... while BenchmarkLegMatrixColdSSSP is the same workload on the legacy
-// path with a cold cache (every source misses, as on any city with more
-// nodes than the LRU holds) ...
+// ... while BenchmarkLegMatrixColdSSSP is the same workload answered pair
+// by pair by the uncached reference Dijkstra.
 func BenchmarkLegMatrixColdSSSP(b *testing.B) {
-	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
-	nodes, out := legWorkload(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grp := nodes[i%len(nodes)]
-		g.FlushCache()
-		for a, s := range grp {
-			for t, d := range grp {
-				out[a*len(grp)+t] = g.CostSSSP(s, d)
-			}
-		}
-	}
-}
-
-// ... and BenchmarkLegMatrixWarmSSSP keeps the LRU across groups — the best
-// case the legacy path achieved on small cities with recurring locations.
-func BenchmarkLegMatrixWarmSSSP(b *testing.B) {
 	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
 	nodes, out := legWorkload(g)
 	b.ReportAllocs()

@@ -125,29 +125,8 @@ func TestGridCityPath(t *testing.T) {
 	}
 }
 
-func TestGraphCacheEviction(t *testing.T) {
-	g := NewPerturbedGrid(5, 5, 100, 10, 0, 1)
-	g.SetCacheSize(3)
-	// Query from more sources than the cache holds; results must stay correct.
-	for round := 0; round < 3; round++ {
-		for u := 0; u < g.NumNodes(); u++ {
-			d := g.CostSSSP(geo.NodeID(u), geo.NodeID((u+7)%g.NumNodes()))
-			if math.IsInf(d, 1) || d < 0 {
-				t.Fatalf("bad distance %v", d)
-			}
-		}
-	}
-	g.mu.Lock()
-	size := len(g.cache)
-	g.mu.Unlock()
-	if size > 3 {
-		t.Fatalf("cache grew to %d entries, cap 3", size)
-	}
-}
-
 func TestGraphConcurrentCost(t *testing.T) {
 	g := NewPerturbedGrid(10, 10, 100, 10, 0.2, 3)
-	g.SetCacheSize(8)
 	done := make(chan bool)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
@@ -223,16 +202,5 @@ func BenchmarkGridCityCost(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Cost(geo.NodeID(i)%n, geo.NodeID(i*7)%n)
-	}
-}
-
-func BenchmarkGraphCostCached(b *testing.B) {
-	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
-	g.Precompute()
-	n := geo.NodeID(g.NumNodes())
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.Cost(geo.NodeID(i)%n, geo.NodeID(i*13)%n)
 	}
 }

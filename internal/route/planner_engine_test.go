@@ -10,17 +10,18 @@ import (
 	"watter/internal/roadnet"
 )
 
-// TestPlanGroupEngineMatchesSSSP: the planner's leg matrix is now filled by
-// the batched ALT engine; plans must be identical — stops, arrivals and
-// cost, bit for bit — to those computed over the legacy cached-Dijkstra
-// oracle, for random groups on random jittered cities, with and without an
-// explicit start node.
+// TestPlanGroupEngineMatchesSSSP: the planner's leg matrix is filled by the
+// graph's batched engine; plans must be identical — stops, arrivals and
+// cost, bit for bit — to those computed over roadnet.Reference, the
+// uncached full-Dijkstra oracle, for random groups on random jittered
+// cities, with and without an explicit start node.
 func TestPlanGroupEngineMatchesSSSP(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := roadnet.NewPerturbedGrid(10, 10, 150, 8, 0.35, seed)
 		rng := rand.New(rand.NewSource(seed * 211))
 		n := g.NumNodes()
 		planner := NewPlanner(g)
+		refPlanner := NewPlanner(roadnet.Reference(g))
 		for rep := 0; rep < 40; rep++ {
 			k := 1 + rng.Intn(3)
 			orders := make([]*order.Order, k)
@@ -40,11 +41,8 @@ func TestPlanGroupEngineMatchesSSSP(t *testing.T) {
 				start = geo.NodeID(rng.Intn(n))
 			}
 
-			g.SetPointToPoint(true)
 			planPP, okPP := planner.PlanGroupFrom(orders, now, 4, start)
-			g.SetPointToPoint(false)
-			planRef, okRef := planner.PlanGroupFrom(orders, now, 4, start)
-			g.SetPointToPoint(true)
+			planRef, okRef := refPlanner.PlanGroupFrom(orders, now, 4, start)
 
 			if okPP != okRef {
 				t.Fatalf("seed %d rep %d: feasibility diverged (engine %v, sssp %v)", seed, rep, okPP, okRef)

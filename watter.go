@@ -94,7 +94,8 @@ type (
 	// (one pruned search per source instead of per pair).
 	MatrixNetwork = roadnet.MatrixNetwork
 	// RoadGraph is an explicit road network answering point-to-point
-	// queries on the ALT routing engine (landmarks precomputed at build).
+	// queries on one routing engine chosen at build: ALT, or a contraction
+	// hierarchy at city scale.
 	RoadGraph = roadnet.Graph
 	// RoadGraphBuilder accumulates nodes and edges into a RoadGraph.
 	RoadGraphBuilder = roadnet.GraphBuilder
