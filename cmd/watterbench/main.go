@@ -314,11 +314,99 @@ type routeRow struct {
 }
 
 // routeReport is the JSON shape of the routing engine benchmark
-// (BENCH_routing.json): one row per city scale.
+// (BENCH_routing.json): one row per city scale, plus the pair-test arm.
 type routeReport struct {
-	Scale      float64    `json:"scale"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Rows       []routeRow `json:"rows"`
+	Scale      float64 `json:"scale"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	pairReport
+	Rows []routeRow `json:"rows"`
+}
+
+// pairReport is the pair-test arm of the routing benchmark: the 4x4 leg
+// block of every pair of a fixed order set, filled once by the ALT
+// engine's batched search (four multi-target searches per pair) and once
+// out of per-order shortest-path rows (two full Dijkstras per order, then
+// sixteen reads per pair) — the choice route.LegStore makes on ALT
+// graphs. The row arm's time includes filling the rows.
+type pairReport struct {
+	PairCity       string  `json:"pair_city"`
+	PairOrders     int     `json:"pair_orders"`
+	PairTests      int     `json:"pair_tests"`
+	PairALTSecs    float64 `json:"pair_alt_seconds_per_pair"`
+	PairRowSecs    float64 `json:"pair_row_seconds_per_pair"`
+	PairRowsFilled int     `json:"pair_rows_filled"`
+	PairSpeedup    float64 `json:"pair_speedup_rows_vs_alt"`
+	PairIdentical  bool    `json:"pair_rows_bit_identical"`
+}
+
+// benchPairRows times both pair-test arms over every pair of k random
+// orders on g, which must still be on the ALT engine, and checks that
+// the two arms agree bit for bit, +Inf included.
+func benchPairRows(city string, g *roadnet.Graph, k int, seed int64) (pairReport, error) {
+	rng := rand.New(rand.NewSource(seed*104729 + int64(g.NumNodes())))
+	locs := make([][2]geo.NodeID, k) // pickup, dropoff per order
+	for i := range locs {
+		locs[i] = [2]geo.NodeID{geo.NodeID(rng.Intn(g.NumNodes())), geo.NodeID(rng.Intn(g.NumNodes()))}
+	}
+	pairs := k * (k - 1) / 2
+	blockOf := func(i, j int) [4]geo.NodeID {
+		return [4]geo.NodeID{locs[i][0], locs[i][1], locs[j][0], locs[j][1]}
+	}
+
+	alt := make([]float64, 16*pairs)
+	start := time.Now()
+	for i, p := 0, 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			ev := blockOf(i, j)
+			roadnet.FillCostMatrix(g, ev[:], ev[:], alt[16*p:16*(p+1)])
+			p++
+		}
+	}
+	altSecs := time.Since(start).Seconds()
+
+	n := g.NumNodes()
+	fromRows := make([]float64, 16*pairs)
+	start = time.Now()
+	rows := make([][]float32, k)
+	for i := range rows {
+		var ok bool
+		rows[i], ok = g.AppendCostRow(nil, locs[i][0])
+		if ok {
+			rows[i], ok = g.AppendCostRow(rows[i], locs[i][1])
+		}
+		if !ok {
+			return pairReport{}, fmt.Errorf("benchroute: %s answers no rows", city)
+		}
+	}
+	for i, p := 0, 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			from := [4][]float32{rows[i][:n], rows[i][n:], rows[j][:n], rows[j][n:]}
+			for r, row := range from {
+				for c, v := range blockOf(i, j) {
+					fromRows[16*p+4*r+c] = float64(row[v])
+				}
+			}
+			p++
+		}
+	}
+	rowSecs := time.Since(start).Seconds()
+
+	identical := true
+	for i := range alt {
+		if math.Float64bits(alt[i]) != math.Float64bits(fromRows[i]) {
+			identical = false
+		}
+	}
+	return pairReport{
+		PairCity:       city,
+		PairOrders:     k,
+		PairTests:      pairs,
+		PairALTSecs:    altSecs / float64(pairs),
+		PairRowSecs:    rowSecs / float64(pairs),
+		PairRowsFilled: 2 * k,
+		PairSpeedup:    altSecs / rowSecs,
+		PairIdentical:  identical,
+	}, nil
 }
 
 // benchRouteRow times one city through three point-to-point regimes over
@@ -430,8 +518,15 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 
 	small := sideAt(70, 12)
 	gSmall := roadnet.NewPerturbedGrid(small, small, 200, 8, 0.3, seed)
+	smallCity := fmt.Sprintf("perturbed-grid-%dx%d", small, small)
+	// The pair arm runs first: benchRouteRow switches the graph to CH.
+	logf("benchroute: %s — pair tests, ALT blocks vs row blocks\n", smallCity)
+	pair, err := benchPairRows(smallCity, gSmall, 64, seed)
+	if err != nil {
+		return err
+	}
 	rows := []routeRow{
-		benchRouteRow(fmt.Sprintf("perturbed-grid-%dx%d", small, small), gSmall, 4096, seed, logf),
+		benchRouteRow(smallCity, gSmall, 4096, seed, logf),
 	}
 
 	big := sideAt(320, 40)
@@ -447,7 +542,7 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 	rows = append(rows,
 		benchRouteRow(fmt.Sprintf("dimacs-metro-%dx%d", big, big), gBig, 384, seed, logf))
 
-	rep := routeReport{Scale: scale, GOMAXPROCS: runtime.GOMAXPROCS(0), Rows: rows}
+	rep := routeReport{Scale: scale, GOMAXPROCS: runtime.GOMAXPROCS(0), pairReport: pair, Rows: rows}
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -455,6 +550,11 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 	blob = append(blob, '\n')
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		return err
+	}
+	fmt.Printf("benchroute: %s pair tests (%d)  alt=%.1fµs/pair  rows=%.1fµs/pair (%d rows)  rows-vs-alt=%.1fx  identical=%v\n",
+		pair.PairCity, pair.PairTests, 1e6*pair.PairALTSecs, 1e6*pair.PairRowSecs, pair.PairRowsFilled, pair.PairSpeedup, pair.PairIdentical)
+	if !pair.PairIdentical {
+		return fmt.Errorf("benchroute: %s: row blocks diverged from ALT blocks", pair.PairCity)
 	}
 	for _, r := range rows {
 		fmt.Printf("benchroute: %s (%d nodes)  ch=%.3fs  alt=%.3fs  cold=%.3fs  ch-vs-alt=%.1fx  ch-vs-cold=%.1fx  build=%.1fs (amortized in %.0f probes)  identical=%v\n",

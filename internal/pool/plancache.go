@@ -183,6 +183,7 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	ent.members = append(ent.members[:0], canon...)
 	ent.svc = ent.svc[:len(ent.members)]
 	ent.group = nil
+	p.legs.PreparePair(a, b)
 	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.members, now, p.opt.Capacity, p.legs, ent.svc)
 	if !ent.feasible {
 		p.pairProbe = ent

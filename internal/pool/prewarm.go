@@ -18,9 +18,12 @@ type Exec interface {
 // PrewarmPairs computes, in parallel, the pairwise shareability plans an
 // imminent Insert(o, now) will run: one cost-only route DP per candidate
 // neighbor whose pair is not already cached. Each task plans into a
-// private scratch leg store; the results — pure functions of the member
-// pair and now — are then merged into the plan cache (and, for feasible
-// pairs, the pool's leg store) on the calling goroutine, so the following
+// private fork of the pool's leg store; any order rows the tasks read are
+// filled beforehand on the calling goroutine, so tasks never compute a
+// row (let alone the same row once per task) and never write shared
+// state. The results — pure functions of the member pair and now — are
+// then merged into the plan cache (and, for feasible pairs, the pool's
+// leg store) on the calling goroutine, so the following
 // Insert finds every pair test answered and the pool's decisions are
 // bit-identical to an unwarmed insert. With the plan cache disabled this
 // is a no-op: there is nowhere to put the results, and the equivalence
@@ -44,9 +47,10 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		if _, ok := p.cache.entries[string(p.memberKey(canon))]; ok {
 			continue
 		}
+		p.legs.PreparePair(o, cand.o)
 		jobs = append(jobs, pairJob{
 			ent:  &planEntry{members: append([]*order.Order(nil), canon...), svc: make([]float64, 2)},
-			legs: route.NewLegStore(p.planner.Net),
+			legs: p.legs.Fork(),
 		})
 	}
 	if len(jobs) == 0 {

@@ -2,8 +2,10 @@ package pool
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"watter/internal/geo"
 	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/roadnet"
@@ -21,14 +23,55 @@ func (e *reverseExec) Run(tasks []func()) {
 	e.ran += len(tasks)
 }
 
+// goExec runs every task on its own goroutine and waits for them all:
+// real concurrency, so the race detector sees tasks reading shared state.
+type goExec struct{ ran int }
+
+func (e *goExec) Run(tasks []func()) {
+	var wg sync.WaitGroup
+	for _, task := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task()
+		}()
+	}
+	wg.Wait()
+	e.ran += len(tasks)
+}
+
 // TestPrewarmPairsDecisionsIdentical drives two pools through the same
 // random insert/expire/remove trace — one prewarming every insert through
 // an adversarially scheduled executor, one inserting cold — and requires
 // identical shareability edges and bit-identical best groups throughout.
+// The graph case has a row-backed leg store, and its tasks run
+// concurrently: the coordinator fills the rows before they start, so
+// both pools must compute exactly the same rows.
 func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
-	warm, net, _ := testPool(2)
-	cold, _, _ := testPool(2)
-	exec := &reverseExec{}
+	t.Run("grid", func(t *testing.T) {
+		exec := &reverseExec{}
+		checkPrewarmIdentical(t, func() lattice { return roadnet.NewGridCity(20, 20, 100, 10) }, exec, &exec.ran)
+	})
+	t.Run("graph", func(t *testing.T) {
+		exec := &goExec{}
+		checkPrewarmIdentical(t, func() lattice { return roadnet.NewPerturbedLattice(20, 20, 100, 10, 0.3, 3) }, exec, &exec.ran)
+	})
+}
+
+// lattice is a network addressable by grid position.
+type lattice interface {
+	roadnet.Network
+	Node(x, y int) geo.NodeID
+}
+
+func checkPrewarmIdentical(t *testing.T, mkNet func() lattice, exec Exec, ran *int) {
+	newPool := func() *Pool {
+		net := mkNet()
+		opt := DefaultOptions()
+		opt.CandidateRadius = 2
+		return New(route.NewPlanner(net), gridindex.New(net, 10), opt)
+	}
+	warm, cold, net := newPool(), newPool(), mkNet()
 	rng := rand.New(rand.NewSource(5))
 
 	now := 0.0
@@ -72,12 +115,21 @@ func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
 			}
 		}
 	}
-	if exec.ran == 0 {
+	if *ran == 0 {
 		t.Fatal("no prewarm task ever ran; the test exercised nothing")
 	}
 	// The warm pool must have answered inserts from prewarmed entries.
 	if warm.CacheStats().Hits+warm.CacheStats().NegativeHits == 0 {
 		t.Fatal("prewarmed entries were never hit")
+	}
+	// Prewarm fills rows on the coordinator, once per order: exactly the
+	// rows a cold pool fills.
+	wr, cr := warm.legs.RowsFilled(), cold.legs.RowsFilled()
+	if wr != cr {
+		t.Fatalf("warm pool filled %d order rows, cold %d", wr, cr)
+	}
+	if _, rowNet := net.(*roadnet.Lattice); rowNet && wr == 0 {
+		t.Fatal("row-backed pool never filled a row")
 	}
 }
 

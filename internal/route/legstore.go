@@ -26,26 +26,135 @@ type pairKey struct{ lo, hi int }
 //
 // A LegStore belongs to exactly one pool and is not safe for concurrent
 // use; lifetime and eviction follow the pool's node set.
+//
+// On a network that answers one-to-all rows (a roadnet.Graph on the ALT
+// engine) every order gets two shortest-path rows, one from its
+// pickup and one from its dropoff, and a block is read out of the two
+// orders' rows instead of being searched: two full searches per order
+// replace four pruned searches per pair, and every later pair test that
+// touches the order costs sixteen reads. PreparePair fills missing rows
+// before a pair's first plan; Evict recycles them through a free list, so
+// row memory is bounded by the pool's high-water size (8 bytes per node
+// per order).
 type LegStore struct {
 	net     roadnet.Network
+	rows    *rowTable // nil when the network answers no rows
 	blocks  map[pairKey]*legBlock
 	byOrder map[int][]pairKey
 	hits    uint64
 	fills   uint64
 }
 
-// NewLegStore returns an empty store over the network.
+// rowNetwork is a network that answers one-to-all rows:
+// roadnet.Graph.AppendCostRow, which refuses (ok == false) when the
+// graph's engine is the contraction hierarchy.
+type rowNetwork interface {
+	AppendCostRow(dst []float32, src geo.NodeID) (row []float32, ok bool)
+}
+
+// rowTable holds the per-order shortest-path rows of a row-backed store.
+// Task stores made by Fork share it read-only.
+type rowTable struct {
+	net rowNetwork
+	// of maps an order ID to its rows: costs from the pickup to every node,
+	// then costs from the dropoff to every node.
+	of     map[int][]float32
+	free   [][]float32 // rows of evicted orders, reused before allocating
+	filled uint64
+}
+
+// NewLegStore returns an empty store over the network. The store is
+// row-backed when the network answers rows, until it first refuses one (a
+// Graph on the contraction hierarchy).
 func NewLegStore(net roadnet.Network) *LegStore {
-	return &LegStore{
+	s := &LegStore{
 		net:     net,
+		blocks:  make(map[pairKey]*legBlock),
+		byOrder: make(map[int][]pairKey),
+	}
+	if rn, ok := net.(rowNetwork); ok {
+		s.rows = &rowTable{net: rn, of: make(map[int][]float32)}
+	}
+	return s
+}
+
+// Fork returns an empty store over the same network that reads this
+// store's order rows. The sharded engine's pair prewarm gives each task a
+// fork: the coordinator fills every row the tasks need (PreparePair)
+// before fanning out, so tasks only read the shared rows, and their blocks
+// come back through Adopt. Rows must not be prepared or evicted while
+// forks are in use.
+func (s *LegStore) Fork() *LegStore {
+	return &LegStore{
+		net:     s.net,
+		rows:    s.rows,
 		blocks:  make(map[pairKey]*legBlock),
 		byOrder: make(map[int][]pairKey),
 	}
 }
 
-// block returns the pair's leg block (filling it with one batched network
-// query on first use) and whether the pair was given in (hi, lo) order —
-// the caller needs that to map member indices onto block rows.
+// PreparePair fills whichever of the two orders' shortest-path rows are
+// missing; the pool calls it before planning a pair for the first time.
+// It is a no-op on stores that are not row-backed. A block whose rows were
+// never prepared is still filled exactly, by a batched network query.
+func (s *LegStore) PreparePair(a, b *order.Order) {
+	s.prepare(a)
+	s.prepare(b)
+}
+
+// prepare fills the order's rows, reusing an evicted order's storage when
+// one is free. The first refused row turns the store's rows off for good:
+// the engine is fixed when the graph is built.
+func (s *LegStore) prepare(o *order.Order) {
+	t := s.rows
+	if t == nil {
+		return
+	}
+	if _, ok := t.of[o.ID]; ok {
+		return
+	}
+	var buf []float32
+	if k := len(t.free); k > 0 {
+		buf = t.free[k-1][:0]
+		t.free = t.free[:k-1]
+	}
+	buf, ok := t.net.AppendCostRow(buf, o.Pickup)
+	if !ok {
+		s.rows = nil
+		return
+	}
+	buf, _ = t.net.AppendCostRow(buf, o.Dropoff)
+	t.of[o.ID] = buf
+	t.filled++
+}
+
+// rowBlock fills blk from the pair's rows, reporting false when the store
+// is not row-backed or either order has no rows yet. Entry (r, c) is the
+// cost from event r to event c, read from event r's row at event c's node.
+func (s *LegStore) rowBlock(lo, hi *order.Order, blk *legBlock) bool {
+	if s.rows == nil {
+		return false
+	}
+	rl, okLo := s.rows.of[lo.ID]
+	rh, okHi := s.rows.of[hi.ID]
+	if !okLo || !okHi {
+		return false
+	}
+	n := len(rl) / 2
+	from := [4][]float32{rl[:n], rl[n:], rh[:n], rh[n:]}
+	to := [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
+	for r, row := range from {
+		for c, v := range to {
+			blk[r*4+c] = float64(row[v])
+		}
+	}
+	return true
+}
+
+// block returns the pair's leg block (filling it on first use from the
+// orders' rows, or else with one batched network query) and whether the
+// pair was given in (hi, lo) order — the caller needs that to map member
+// indices onto block rows.
 //
 //det:specwrite memoized pure leg matrix keyed by the pair; every store has exactly one writer goroutine and the cached values are bit-identical no matter when the fill ran
 func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
@@ -61,8 +170,10 @@ func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
 	}
 	//det:hotalloc one block per distinct pair, cached for the pair's lifetime and amortized over thousands of DP touches
 	blk = new(legBlock)
-	locs := [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
-	roadnet.FillCostMatrix(s.net, locs[:], locs[:], blk[:])
+	if !s.rowBlock(lo, hi, blk) {
+		locs := [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
+		roadnet.FillCostMatrix(s.net, locs[:], locs[:], blk[:])
+	}
 	s.blocks[key] = blk
 	s.byOrder[lo.ID] = append(s.byOrder[lo.ID], key)
 	s.byOrder[hi.ID] = append(s.byOrder[hi.ID], key)
@@ -82,13 +193,19 @@ func (s *LegStore) DropPair(aID, bID int) {
 }
 
 // Evict drops every block involving the order (called when it leaves the
-// pool). Keys for already-deleted blocks (the partner was evicted first)
-// are skipped harmlessly.
+// pool) and moves its rows to the free list. Keys for already-deleted
+// blocks (the partner was evicted first) are skipped harmlessly.
 func (s *LegStore) Evict(orderID int) {
 	for _, key := range s.byOrder[orderID] {
 		delete(s.blocks, key)
 	}
 	delete(s.byOrder, orderID)
+	if t := s.rows; t != nil {
+		if row, ok := t.of[orderID]; ok {
+			t.free = append(t.free, row)
+			delete(t.of, orderID)
+		}
+	}
 }
 
 // Adopt moves every block of the other store into this one, indexing them
@@ -137,8 +254,17 @@ func (s *LegStore) BlocksFor(orderID int) int {
 	return n
 }
 
-// Stats reports block reuses and batched fills since construction.
+// Stats reports block reuses and block fills since construction.
 func (s *LegStore) Stats() (hits, fills uint64) { return s.hits, s.fills }
+
+// RowsFilled reports how many orders had their rows computed (reused
+// storage included); 0 on a store that is not row-backed.
+func (s *LegStore) RowsFilled() uint64 {
+	if s.rows == nil {
+		return 0
+	}
+	return s.rows.filled
+}
 
 // assembleLegs fills the (ne x ne) leg matrix for the group from the
 // store's pair blocks. Each member pair contributes its cross entries; the
