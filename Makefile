@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench perfbench lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
+.PHONY: build examples test race bench perfbench lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchproxy benchload benchgate clean
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,8 @@ lint:
 	$(GO) run ./cmd/detlint ./...
 
 # Determinism-contract analyzers alone: the syntactic four (maprange/
-# walltime/globalrand/floatrange — DESIGN.md §11) plus the
-# interprocedural three (specpure/hotalloc/goroutinewrite — §12);
-# lint runs them too.
+# walltime/globalrand/floatrange — DESIGN.md §11) plus hotalloc and
+# goroutinewrite (§12); lint runs them too.
 detlint:
 	$(GO) run ./cmd/detlint ./...
 
@@ -87,10 +86,6 @@ benchstream:
 benchpool:
 	$(GO) run ./cmd/watterbench -benchpool BENCH_pool.json
 
-# Regenerate the slot-sharded dispatch engine baseline.
-benchshard:
-	$(GO) run ./cmd/watterbench -benchshard BENCH_shard.json
-
 # Regenerate the multi-city proxy baseline (isolation + HA bit-identity).
 benchproxy:
 	$(GO) run ./cmd/watterproxy -quiet -json BENCH_proxy.json
@@ -108,7 +103,6 @@ benchgate:
 		BENCH_routing.json=/tmp/bench_route_ci.json \
 		BENCH_stream.json=/tmp/bench_stream_ci.json \
 		BENCH_pool.json=/tmp/bench_pool_ci.json \
-		BENCH_shard.json=/tmp/bench_shard_ci.json \
 		BENCH_proxy.json=/tmp/bench_proxy_ci.json \
 		BENCH_load.json=/tmp/bench_load_ci.json
 

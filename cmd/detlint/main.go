@@ -1,7 +1,7 @@
 // Command detlint is the multichecker for the repo's determinism
 // contract (DESIGN.md §11–§12). It type-checks the requested packages
 // from source and runs the detlint analyzers — maprange, walltime,
-// globalrand, floatrange, and the interprocedural specpure, hotalloc,
+// globalrand, floatrange, the interprocedural hotalloc, and
 // goroutinewrite — printing findings in go-vet format and exiting 1
 // when any exist.
 //
@@ -150,8 +150,8 @@ func lint(modDir string, patterns []string) ([]detlint.Diagnostic, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// One effects Program over every loaded package, so specpure and
-	// hotalloc see cross-package calls and CHA targets.
+	// One effects Program over every loaded package, so hotalloc sees
+	// cross-package calls and CHA targets.
 	prog := detlint.NewProgram(pkgs)
 	var all []detlint.Diagnostic
 	for _, pkg := range pkgs {

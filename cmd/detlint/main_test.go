@@ -57,17 +57,6 @@ func FloatFold(m map[int]float64) float64 {
 `)
 	write("effects/effects.go", `package effects
 
-var hits int
-
-//det:specroot speculation must not touch shared state
-func Speculate(id int) {
-	record(id)
-}
-
-func record(id int) {
-	hits = id
-}
-
 //det:hotpath steady-state dispatch must not allocate
 func HotLookup(n int) []int {
 	return make([]int, n)
@@ -94,7 +83,7 @@ func RacyLaunch() int {
 	}
 	for _, name := range []string{
 		"maprange", "walltime", "globalrand", "floatrange",
-		"specpure", "hotalloc", "goroutinewrite",
+		"hotalloc", "goroutinewrite",
 	} {
 		if got[name] == 0 {
 			t.Errorf("injected %s violation not detected; findings: %v", name, diags)

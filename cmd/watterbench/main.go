@@ -12,7 +12,6 @@
 //	watterbench -benchroute BENCH_routing.json       # routing engine vs cold Dijkstra
 //	watterbench -benchstream BENCH_stream.json       # event bus vs batch replay
 //	watterbench -benchpool BENCH_pool.json           # plan cache vs replan-always pool
-//	watterbench -benchshard BENCH_shard.json         # slot-sharded vs sequential dispatch
 //	watterbench -list                                # enumerate sweeps
 //
 // The -scale flag multiplies order and worker counts; 1.0 is the harness
@@ -36,7 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/geo"
@@ -46,9 +44,7 @@ import (
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/route"
-	"watter/internal/shard"
 	"watter/internal/sim"
-	"watter/internal/strategy"
 )
 
 func main() {
@@ -67,8 +63,6 @@ func main() {
 		benchroute  = flag.String("benchroute", "", "run the point-to-point routing engine benchmark and write its JSON report to this file")
 		benchstream = flag.String("benchstream", "", "run the event-bus-vs-batch-replay benchmark and write its JSON report to this file")
 		benchpool   = flag.String("benchpool", "", "run the pool-maintenance plan-cache benchmark and write its JSON report to this file")
-		benchshard  = flag.String("benchshard", "", "run the slot-sharded dispatch engine benchmark and write its JSON report to this file")
-		shards      = flag.Int("shards", 0, "shard count for -benchshard's sharded arm (0 = GOMAXPROCS, min 2)")
 	)
 	flag.Parse()
 
@@ -102,13 +96,6 @@ func main() {
 	}
 	if *benchpool != "" {
 		if err := runBenchPool(*benchpool, *scale, *seed, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchshard != "" {
-		if err := runBenchShard(*benchshard, *scale, *seed, *shards, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -965,189 +952,6 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 	}
 	if rep.Speedup <= 1 {
 		return fmt.Errorf("benchpool: cached arm (%.3fs) did not beat replan-always (%.3fs)", cachedSecs, uncachedSecs)
-	}
-	return nil
-}
-
-// shardReport is the JSON shape of the slot-sharded dispatch benchmark
-// (BENCH_shard.json).
-type shardReport struct {
-	City              string  `json:"city"`
-	Nodes             int     `json:"nodes"`
-	Orders            int     `json:"orders"`
-	Workers           int     `json:"workers"`
-	Scale             float64 `json:"scale"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Shards            int     `json:"shards"`
-	Algs              string  `json:"algs"`
-	SequentialSeconds float64 `json:"sequential_seconds"`
-	ShardedSeconds    float64 `json:"sharded_seconds"`
-	Speedup           float64 `json:"speedup"`
-	SpecOrders        uint64  `json:"spec_orders"`
-	SpecHits          uint64  `json:"spec_hits"`
-	SpecInvalidated   uint64  `json:"spec_invalidated"`
-	SpecMisses        uint64  `json:"spec_misses"`
-	SpecHitRate       float64 `json:"spec_hit_rate"`
-	PrewarmTasks      uint64  `json:"prewarm_tasks"`
-	SlotHandoffs      uint64  `json:"slot_handoffs"`
-	Identical         bool    `json:"metrics_bit_identical"`
-}
-
-// runBenchShard measures what the slot-sharded dispatch engine buys on a
-// single simulation: the same Graph-backed city workload (real ALT routing
-// behind every worker probe, like production road networks) runs through
-// the platform with the sequential K=1 check and with K shards, for both
-// WATTER-online and WATTER-timeout. Metrics must be bit-identical — the
-// engine's whole contract — and the report tracks the wall-clock ratio.
-// Like BENCH_sweep.json, the recorded speedup only exceeds 1 on multi-core
-// hardware: on a 1-core container the sharded arm pays the speculation
-// overhead with nothing to parallelize onto, so expect ~1x there and ~Kx
-// scaling with cores (the speculation phase is embarrassingly parallel).
-func runBenchShard(path string, scale float64, seed int64, shards int, quiet bool) error {
-	side := int(36 * math.Sqrt(scale))
-	if side < 14 {
-		side = 14
-	}
-	n := int(900 * scale)
-	if n < 60 {
-		return fmt.Errorf("benchshard: scale %.2f too small", scale)
-	}
-	m := int(90 * scale)
-	if m < 10 {
-		m = 10
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards < 2 {
-		shards = 2 // still proves the equivalence contract on 1 core
-	}
-	const horizon = 1800.0
-	logf := func(format string, args ...any) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, format, args...)
-		}
-	}
-	g := roadnet.NewPerturbedGrid(side, side, 200, 8, 0.3, seed)
-	orders := poolWorkload(g, side, n, horizon, seed)
-	mkWorkers := func() []*order.Worker {
-		rng := rand.New(rand.NewSource(seed*131 + 17))
-		ws := make([]*order.Worker, m)
-		for i := range ws {
-			ws[i] = &order.Worker{ID: i + 1, Loc: geo.NodeID(rng.Intn(side * side)), Capacity: 4}
-		}
-		return ws
-	}
-	logf("benchshard: %dx%d city (%d nodes), %d orders, %d workers, K=%d\n",
-		side, side, g.NumNodes(), len(orders), m, shards)
-
-	algs := []string{"WATTER-online", "WATTER-timeout"}
-	cfg := sim.DefaultConfig()
-	runArm := func(name string, k int) (*sim.Metrics, float64, *platform.Platform, error) {
-		var fw *core.Framework
-		switch name {
-		case "WATTER-online":
-			fw = core.New(strategy.Online{}, pool.DefaultOptions())
-		case "WATTER-timeout":
-			fw = core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
-		}
-		p, err := platform.New(g, mkWorkers(),
-			platform.WithConfig(cfg),
-			platform.WithTick(10),
-			platform.WithMeasuredTime(false),
-			platform.WithAlgorithm(fw),
-			platform.WithShards(k),
-		)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		start := time.Now()
-		metrics, err := p.Replay(orders)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return metrics, time.Since(start).Seconds(), p, nil
-	}
-
-	var seqSecs, shardSecs float64
-	identical := true
-	var stats shard.Stats
-	for _, name := range algs {
-		seqM, ss, _, err := runArm(name, 1)
-		if err != nil {
-			return err
-		}
-		shardM, hs, plat, err := runArm(name, shards)
-		if err != nil {
-			return err
-		}
-		seqSecs += ss
-		shardSecs += hs
-		if *seqM != *shardM {
-			identical = false
-			logf("benchshard: %s diverged:\nK=1: %+v\nK=%d: %+v\n", name, *seqM, shards, *shardM)
-		}
-		if ps := plat.Stats(); ps.ShardActive {
-			st := ps.Shard
-			stats.Ticks += st.Ticks
-			stats.SpecOrders += st.SpecOrders
-			stats.GroupHits += st.GroupHits
-			stats.GroupInvalid += st.GroupInvalid
-			stats.GroupMiss += st.GroupMiss
-			stats.SoloHits += st.SoloHits
-			stats.SoloInvalid += st.SoloInvalid
-			stats.SoloMiss += st.SoloMiss
-			stats.PrewarmTasks += st.PrewarmTasks
-			stats.SlotHandoffs += st.SlotHandoffs
-		}
-		logf("benchshard: %s sequential=%.3fs sharded(%d)=%.3fs identical=%v\n",
-			name, ss, shards, hs, *seqM == *shardM)
-	}
-
-	hits := stats.GroupHits + stats.SoloHits
-	invalid := stats.GroupInvalid + stats.SoloInvalid
-	misses := stats.GroupMiss + stats.SoloMiss
-	hitRate := 0.0
-	if total := hits + invalid + misses; total > 0 {
-		hitRate = float64(hits) / float64(total)
-	}
-	rep := shardReport{
-		City:              fmt.Sprintf("perturbed-grid-%dx%d", side, side),
-		Nodes:             g.NumNodes(),
-		Orders:            len(orders),
-		Workers:           m,
-		Scale:             scale,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Shards:            shards,
-		Algs:              strings.Join(algs, ","),
-		SequentialSeconds: seqSecs,
-		ShardedSeconds:    shardSecs,
-		Speedup:           seqSecs / shardSecs,
-		SpecOrders:        stats.SpecOrders,
-		SpecHits:          hits,
-		SpecInvalidated:   invalid,
-		SpecMisses:        misses,
-		SpecHitRate:       hitRate,
-		PrewarmTasks:      stats.PrewarmTasks,
-		SlotHandoffs:      stats.SlotHandoffs,
-		Identical:         identical,
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchshard: sequential=%.3fs sharded(%d)=%.3fs speedup=%.2fx spec-hit-rate=%.1f%% prewarmed=%d handoffs=%d identical=%v\n",
-		rep.SequentialSeconds, rep.Shards, rep.ShardedSeconds, rep.Speedup, 100*rep.SpecHitRate,
-		rep.PrewarmTasks, rep.SlotHandoffs, rep.Identical)
-	if !identical {
-		return fmt.Errorf("benchshard: sharded metrics diverged from the sequential check")
-	}
-	if hits == 0 {
-		return fmt.Errorf("benchshard: the engine never served a speculation (hit rate 0)")
 	}
 	return nil
 }

@@ -100,7 +100,6 @@ func main() {
 		drain    = flag.Int("drain", 64, "modelled consumer drain per tick")
 		bpBuffer = flag.Int("bpbuffer", 64, "starved-consumer scenario: bus buffer")
 		bpDrain  = flag.Int("bpdrain", 8, "starved-consumer scenario: drain per tick")
-		shards   = flag.Int("shards", 0, "dispatch engine slot-shard count (0/1 sequential)")
 		scale    = flag.Float64("scale", 1, "multiplies workers and arrival rates")
 		search   = flag.Bool("search", true, "bisect for the maximum sustainable rate")
 		searchLo = flag.Float64("searchlo", 0.125, "rate-search bracket floor, orders/sec")
@@ -112,7 +111,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*jsonPath, *quiet, *cityName, *workers, *horizon, *tick, *seed, *rate,
-		*buffer, *drain, *bpBuffer, *bpDrain, *shards, *scale,
+		*buffer, *drain, *bpBuffer, *bpDrain, *scale,
 		*search, *searchLo, *searchHi, *searchN, *quantile, *slack, *minSvc); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -120,7 +119,7 @@ func main() {
 }
 
 func run(jsonPath string, quiet bool, cityName string, workers int, horizon, tick float64,
-	seed int64, rate float64, buffer, drain, bpBuffer, bpDrain, shards int, scale float64,
+	seed int64, rate float64, buffer, drain, bpBuffer, bpDrain int, scale float64,
 	search bool, searchLo, searchHi float64, searchN int, quantile, slack, minSvc float64) error {
 	city, err := dataset.ByName(cityName)
 	if err != nil {
@@ -143,7 +142,6 @@ func run(jsonPath string, quiet bool, cityName string, workers int, horizon, tic
 		Tick:         tick,
 		Buffer:       buffer,
 		DrainPerTick: drain,
-		Shards:       shards,
 	}
 
 	//det:wallclock wall_seconds reports only the harness's own runtime, never a measurement

@@ -20,12 +20,9 @@
 //	             because a float fold is never order-insensitive; the only
 //	             escape is an explicit //det:floatfold annotation.
 //
-// The interprocedural layer (effects.go, DESIGN.md §12) adds write-effect
-// summaries over a CHA call graph and three more analyzers:
+// The interprocedural layer (effects.go, DESIGN.md §12) adds allocation
+// summaries over a CHA call graph, and two more analyzers:
 //
-//	specpure      — everything reachable from a //det:specroot must be
-//	                write-free outside //det:scratch types; escape with
-//	                //det:specwrite <reason>.
 //	hotalloc      — //det:hotpath functions must reach no allocation
 //	                sites; escape with //det:hotalloc <reason>.
 //	goroutinewrite — go-launched closures must not write captured
@@ -54,7 +51,7 @@ type Analyzer struct {
 
 // All returns the full detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, HotAlloc, GoroutineWrite}
+	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, HotAlloc, GoroutineWrite}
 }
 
 // A Pass provides one analyzer run with a single type-checked package,

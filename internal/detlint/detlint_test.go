@@ -25,7 +25,6 @@ func TestWallTimeGolden(t *testing.T)   { runGolden(t, WallTime, "walltime") }
 func TestGlobalRandGolden(t *testing.T) { runGolden(t, GlobalRand, "globalrand") }
 func TestFloatRangeGolden(t *testing.T) { runGolden(t, FloatRange, "floatrange") }
 
-func TestSpecPureGolden(t *testing.T)       { runGolden(t, SpecPure, "specpure") }
 func TestHotAllocGolden(t *testing.T)       { runGolden(t, HotAlloc, "hotalloc") }
 func TestGoroutineWriteGolden(t *testing.T) { runGolden(t, GoroutineWrite, "goroutinewrite") }
 

@@ -137,19 +137,14 @@ func (w *walker) call(ce *ast.CallExpr) {
 	w.checkBoxing(ce)
 	switch r.kind {
 	case ckHavoc:
-		w.addRaw(effect{kind: provUnknown, pos: ce.Pos(), desc: r.desc})
 		w.addAlloc(ce.Pos(), r.desc+" (may allocate)")
-	case ckStdlib:
-		w.stdlibCall(ce, r)
 	case ckStatic, ckIface:
 		if r.kind == ckIface && len(r.nodes) == 0 {
-			w.addRaw(effect{kind: provUnknown, pos: ce.Pos(),
-				desc: "interface method " + r.name + " has no in-module implementation"})
 			w.addAlloc(ce.Pos(), "unresolved interface call "+r.name+" (may allocate)")
 			return
 		}
 		for _, callee := range r.nodes {
-			w.substitute(ce, r, callee)
+			w.mergeAllocs(callee)
 		}
 	}
 }
@@ -160,19 +155,11 @@ func (w *walker) builtinCall(ce *ast.CallExpr, name string) {
 	}
 	switch name {
 	case "append":
-		base := ce.Args[0]
-		pr := w.provOf(base)
-		if pr.shared() {
-			// Amortized growth of a pooled buffer: a write through the
-			// base slice, not a fresh allocation.
-			w.refWrite(base, "append writes the backing array of")
-		} else {
+		// Appending to a shared (pooled) buffer is amortized growth, not
+		// a fresh allocation.
+		if !w.provOf(ce.Args[0]).shared() {
 			w.addAlloc(ce.Pos(), "growing append to a fresh slice")
 		}
-	case "copy":
-		w.refWrite(ce.Args[0], "copy into")
-	case "delete":
-		w.refWrite(ce.Args[0], "delete from")
 	case "make":
 		w.addAlloc(ce.Pos(), "make")
 	case "new":
@@ -180,115 +167,16 @@ func (w *walker) builtinCall(ce *ast.CallExpr, name string) {
 	}
 }
 
-// stdlibCall models out-of-module functions: they may write through
-// every pointer-like argument (and receiver) and return values of
-// unknown provenance. sync.Pool Get/Put are modeled effect-free — the
-// pool hands out private scratch by design (DESIGN.md §12 caveats).
-func (w *walker) stdlibCall(ce *ast.CallExpr, r calleeSet) {
-	full := r.obj.FullName()
-	if full == "(*sync.Pool).Get" || full == "(*sync.Pool).Put" {
-		return
-	}
-	// Atomic loads are pure reads of the cell; modeling their pointer
-	// receiver as a potential write would poison every lock-free flag
-	// read on otherwise pure paths.
-	if pkg := r.obj.Pkg(); pkg != nil && pkg.Path() == "sync/atomic" &&
-		len(r.obj.Name()) >= 4 && r.obj.Name()[:4] == "Load" {
-		return
-	}
-	short := r.obj.Name()
-	if pkg := r.obj.Pkg(); pkg != nil {
-		short = pkg.Name() + "." + r.obj.Name()
-	}
-	if r.recv != nil && pointerLike(w.typeOf(r.recv)) {
-		w.refWrite(r.recv, "call to "+short+" may write through")
-	}
-	for _, a := range ce.Args {
-		if pointerLike(w.typeOf(a)) {
-			w.refWrite(a, "call to "+short+" may write through")
-		}
-	}
-}
-
-// substitute re-bases one callee summary onto this call site's argument
-// provenance and merges it in.
-func (w *walker) substitute(ce *ast.CallExpr, r calleeSet, callee *funcNode) {
+// mergeAllocs merges one callee's reachable allocation sites into this
+// function's summary.
+func (w *walker) mergeAllocs(callee *funcNode) {
 	sum := w.prog.summaries[callee]
 	if sum == nil {
 		return // first fixpoint round; filled in on a later round
 	}
-	var sig *types.Signature
-	if callee.obj != nil {
-		sig = callee.obj.Type().(*types.Signature)
-	}
-	argFor := func(i int) (ast.Expr, bool) {
-		if sig != nil && sig.Variadic() && i >= sig.Params().Len()-1 {
-			// Expanded variadic args live in a fresh backing slice; only
-			// an explicit s… forwards caller memory.
-			if ce.Ellipsis.IsValid() && len(ce.Args) == sig.Params().Len() {
-				return ce.Args[len(ce.Args)-1], true
-			}
-			return nil, false
-		}
-		if i < len(ce.Args) {
-			return ce.Args[i], true
-		}
-		return nil, false
-	}
-	for _, e := range sum.effects {
-		switch e.kind {
-		case provGlobal, provUnknown, provCaptured:
-			w.addSub(e)
-		case provRecv:
-			if r.recv == nil {
-				w.addSub(e) // method expression oddity: keep conservative
-				continue
-			}
-			w.rebase(e, r.recv)
-		case provParam:
-			if arg, ok := argFor(e.param); ok {
-				w.rebase(e, arg)
-			}
-		}
-	}
 	for _, a := range sum.allocs {
 		w.addAllocSite(a)
 	}
-}
-
-// rebase maps a callee recv/param effect onto the provenance of the
-// caller-side expression it flowed through.
-func (w *walker) rebase(e effect, arg ast.Expr) {
-	base := w.provOf(arg)
-	if !base.shared() {
-		return // effect on fresh or constant memory is caller-invisible
-	}
-	e.kind = base.kind
-	e.param = base.param
-	e.capv = base.capv
-	if w.pointeeOwnerScratch(arg) {
-		e.scratch = true
-	}
-	w.addSub(e)
-}
-
-// addRaw records an effect originating in this function, honoring the
-// //det:specwrite escape at the site or on the declaration.
-func (w *walker) addRaw(e effect) {
-	if w.annotFor(e.pos, TagSpecwrite) || w.declExcused(TagSpecwrite) {
-		return
-	}
-	e.origin = w.fn.name
-	w.addSub(e)
-}
-
-func (w *walker) addSub(e effect) {
-	k := e.key()
-	if w.seenEff[k] {
-		return
-	}
-	w.seenEff[k] = true
-	w.effects = append(w.effects, e)
 }
 
 func (w *walker) addAlloc(pos token.Pos, desc string) {
@@ -306,43 +194,9 @@ func (w *walker) addAllocSite(a allocSite) {
 	w.allocs = append(w.allocs, a)
 }
 
-// writeTo records the effect of writing the lvalue e.
-func (w *walker) writeTo(e ast.Expr, verb string) {
-	pr := w.locProv(e)
-	if !pr.shared() {
-		return
-	}
-	owner := w.ownerOf(e)
-	w.addRaw(effect{
-		kind:    pr.kind,
-		param:   pr.param,
-		capv:    pr.capv,
-		scratch: owner != nil && w.prog.scratch[owner],
-		pos:     e.Pos(),
-		desc:    verb + " " + types.ExprString(e) + " (" + pr.String() + ")",
-	})
-}
-
-// refWrite records a write through a reference value (channel send,
-// copy/delete, stdlib pointer args, append backing arrays).
-func (w *walker) refWrite(e ast.Expr, verb string) {
-	pr := w.provOf(e)
-	if !pr.shared() {
-		return
-	}
-	w.addRaw(effect{
-		kind:    pr.kind,
-		param:   pr.param,
-		capv:    pr.capv,
-		scratch: w.pointeeOwnerScratch(e),
-		pos:     e.Pos(),
-		desc:    verb + " " + types.ExprString(e) + " (" + pr.String() + ")",
-	})
-}
-
-// locProv is the provenance of a storage location: what the written
-// memory is reachable from. Writing a local variable itself is always
-// frame-private; writes escape only through pointers, slices and maps.
+// locProv is the provenance of a storage location: what the memory at e
+// is reachable from. A local variable itself is frame-private; memory is
+// shared only through pointers, slices and maps.
 func (w *walker) locProv(e ast.Expr) prov {
 	e = unparen(e)
 	switch x := e.(type) {
@@ -385,30 +239,6 @@ func (w *walker) locProv(e ast.Expr) prov {
 		return prov{kind: provFresh} // &T{…} points at a fresh allocation
 	}
 	return prov{kind: provUnknown}
-}
-
-// ownerOf is the named type that immediately contains the written field
-// or element — the type whose //det:scratch annotation decides whether
-// the write stays inside a private arena.
-func (w *walker) ownerOf(e ast.Expr) *types.TypeName {
-	e = unparen(e)
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		if tn := namedOf(derefType(w.typeOf(x.X))); tn != nil {
-			return tn
-		}
-		return w.ownerOf(x.X)
-	case *ast.IndexExpr:
-		if tn := namedOf(w.typeOf(x.X)); tn != nil {
-			return tn
-		}
-		return w.ownerOf(x.X)
-	case *ast.StarExpr:
-		return namedOf(derefType(w.typeOf(x.X)))
-	case *ast.SliceExpr:
-		return w.ownerOf(x.X)
-	}
-	return nil
 }
 
 // provOf is the provenance of a value.
@@ -529,48 +359,6 @@ func (w *walker) callProv(ce *ast.CallExpr) prov {
 		return out
 	}
 	return prov{kind: provUnknown}
-}
-
-// pointeeOwnerScratch reports whether the memory an argument hands to a
-// callee is part of a //det:scratch arena: &x.f is scratch when x's type
-// is, a *T value when T is, and a slice/map field when the holding type
-// is. A plain pointer field of a scratch type is a back-reference to
-// shared state and stays non-scratch.
-func (w *walker) pointeeOwnerScratch(e ast.Expr) bool {
-	e = unparen(e)
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		return w.pointeeOwnerScratch(sl.X) // buf[:0] reslices buf's arena
-	}
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		if w.namedScratch(w.typeOf(u.X)) {
-			return true
-		}
-		if tn := w.ownerOf(u.X); tn != nil && w.prog.scratch[tn] {
-			return true
-		}
-		return false
-	}
-	t := w.typeOf(e)
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer:
-		return w.namedScratch(derefType(t))
-	case *types.Slice, *types.Map:
-		if w.namedScratch(t) {
-			return true
-		}
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			return w.namedScratch(derefType(w.typeOf(sel.X)))
-		}
-	}
-	return false
-}
-
-func (w *walker) namedScratch(t types.Type) bool {
-	tn := namedOf(t)
-	return tn != nil && w.prog.scratch[tn]
 }
 
 // litCaptures reports whether a function literal references a variable

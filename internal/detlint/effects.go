@@ -1,32 +1,29 @@
 package detlint
 
-// The interprocedural layer behind specpure and hotalloc (DESIGN.md §12):
-// a CHA-style call graph over the typed AST, per-function write-effect
-// summaries, and a fixpoint that propagates effects and allocation sites
-// across calls. Built on the standard library alone, same constraint as
-// the rest of the suite.
+// The interprocedural layer behind hotalloc (DESIGN.md §12): a CHA-style
+// call graph over the typed AST, per-function allocation summaries, and a
+// fixpoint that propagates allocation sites across calls. Built on the
+// standard library alone, same constraint as the rest of the suite.
 //
-// The effect lattice per function is a set of write effects, each
-// classified by what the written memory is reachable from:
+// Each summary is a set of reachable allocation sites plus the provenance
+// of the function's return value — what the returned memory is reachable
+// from:
 //
 //	global    — a package-level variable
 //	recv      — the method receiver
 //	param(i)  — the i-th parameter
 //	captured  — a variable captured from an enclosing function
-//	unknown   — havoc: an effect the analysis cannot bound (indirect
-//	            calls, goroutine launches, writes of unknown provenance)
+//	unknown   — memory the analysis cannot bound (indirect calls,
+//	            channel receives, out-of-module results)
 //
-// Each effect carries a scratch bit: true when the owner type of the
-// written location is declared //det:scratch. At call sites, callee
-// recv/param effects are re-based onto the caller's argument provenance;
-// effects through fresh or nil arguments drop. Interface method calls
-// resolve by CHA to every in-module implementation; zero implementations
-// (or a call through a func-typed field/value) degrade to havoc.
+// Provenance decides whether an append grows a shared (pooled) buffer or
+// allocates a fresh slice. At call sites, callee return provenance is
+// re-based onto the caller's arguments. Interface method calls resolve by
+// CHA to every in-module implementation; zero implementations (or a call
+// through a func-typed field/value) count as a possible allocation.
 // Function literals are folded into their enclosing function — captured
 // locals resolve against the enclosing environment — except literals
-// launched by `go`, which havoc, and literals annotated //det:specroot,
-// which additionally become standalone roots whose captured variables
-// count as shared state.
+// launched by `go`, whose bodies run elsewhere.
 
 import (
 	"fmt"
@@ -37,29 +34,24 @@ import (
 )
 
 // A Program is the whole-module view behind the interprocedural
-// analyzers: call graph nodes, //det:scratch types, CHA indexes and the
-// solved per-function summaries. Build one per lint run with NewProgram
-// and share it across packages via RunWith.
+// analyzers: call graph nodes, CHA indexes and the solved per-function
+// summaries. Build one per lint run with NewProgram and share it across
+// packages via RunWith.
 type Program struct {
 	Pkgs []*Package
 
-	fset      *token.FileSet
 	nodes     []*funcNode
 	byObj     map[*types.Func]*funcNode
-	litNodes  map[*ast.FuncLit]*funcNode
-	scratch   map[*types.TypeName]bool
 	named     []*types.TypeName
 	summaries map[*funcNode]*summary
 	chaCache  map[string][]*funcNode
 }
 
-// A funcNode is one call-graph node: a declared function/method, or a
-// //det:specroot function literal analyzed standalone.
+// A funcNode is one call-graph node: a declared function or method.
 type funcNode struct {
 	pkg     *Package
-	obj     *types.Func // nil for a standalone literal
+	obj     *types.Func
 	decl    *ast.FuncDecl
-	lit     *ast.FuncLit
 	body    *ast.BlockStmt
 	name    string
 	lo, hi  token.Pos
@@ -96,28 +88,6 @@ func (p prov) shared() bool {
 	return true
 }
 
-func (p prov) String() string {
-	switch p.kind {
-	case provNone:
-		return "none"
-	case provFresh:
-		return "fresh"
-	case provRecv:
-		return "receiver state"
-	case provParam:
-		return fmt.Sprintf("memory reachable from parameter %d", p.param)
-	case provGlobal:
-		return "package-global state"
-	case provCaptured:
-		name := "?"
-		if p.capv != nil {
-			name = p.capv.Name()
-		}
-		return "captured variable " + name
-	}
-	return "unknown provenance"
-}
-
 // joinProv is the lattice join: none is bottom, fresh stays below every
 // shared class, and two distinct shared classes collapse to unknown.
 func joinProv(a, b prov) prov {
@@ -139,22 +109,6 @@ func joinProv(a, b prov) prov {
 	return prov{kind: provUnknown}
 }
 
-// An effect is one write a function (or anything it calls) may perform,
-// classified against the caller-visible roots.
-type effect struct {
-	kind    provKind
-	param   int
-	capv    *types.Var
-	scratch bool
-	pos     token.Pos
-	desc    string
-	origin  string // name of the function containing the write site
-}
-
-func (e effect) key() string {
-	return fmt.Sprintf("%d/%d/%t/%d", e.kind, e.param, e.scratch, e.pos)
-}
-
 // An allocSite is one allocation a function (or anything it calls) may
 // perform; //det:hotalloc-excused sites are dropped at the origin.
 type allocSite struct {
@@ -165,21 +119,15 @@ type allocSite struct {
 
 const maxAllocSites = 32
 
-// summary is the solved per-function fact: outward write effects,
-// reachable allocation sites, and return-value provenance.
+// summary is the solved per-function fact: reachable allocation sites
+// and return-value provenance.
 type summary struct {
-	effects []effect
-	allocs  []allocSite
-	ret     prov
+	allocs []allocSite
+	ret    prov
 }
 
 func (s *summary) fingerprint() string {
 	var b strings.Builder
-	for _, e := range s.effects {
-		b.WriteString(e.key())
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
 	for _, a := range s.allocs {
 		fmt.Fprintf(&b, "%d;", a.pos)
 	}
@@ -187,21 +135,16 @@ func (s *summary) fingerprint() string {
 	return b.String()
 }
 
-// NewProgram builds the call graph and scratch-type index over pkgs and
-// solves the effect summaries to a fixpoint. The packages must share one
+// NewProgram builds the call graph over pkgs and solves the summaries to
+// a fixpoint. The packages must share one
 // FileSet (the Loader guarantees this; the golden harness passes one
 // package).
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:      pkgs,
 		byObj:     make(map[*types.Func]*funcNode),
-		litNodes:  make(map[*ast.FuncLit]*funcNode),
-		scratch:   make(map[*types.TypeName]bool),
 		summaries: make(map[*funcNode]*summary),
 		chaCache:  make(map[string][]*funcNode),
-	}
-	if len(pkgs) > 0 {
-		p.fset = pkgs[0].Fset
 	}
 	for _, pkg := range pkgs {
 		p.indexPackage(pkg)
@@ -211,30 +154,6 @@ func NewProgram(pkgs []*Package) *Program {
 }
 
 func (p *Program) indexPackage(pkg *Package) {
-	// Scratch types: a //det:scratch annotation on (or above) a type
-	// spec marks the named type as per-speculation scratch.
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				_, onSpec := pkg.Annot.For(ts.Pos(), TagScratch)
-				_, onDecl := pkg.Annot.For(gd.Pos(), TagScratch)
-				if !onSpec && !onDecl {
-					continue
-				}
-				if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					p.scratch[tn] = true
-				}
-			}
-		}
-	}
 	// Named non-interface types, for CHA. Scope.Names is sorted, so the
 	// CHA target order (and therefore diagnostic order) is deterministic.
 	scope := pkg.Types.Scope()
@@ -249,9 +168,7 @@ func (p *Program) indexPackage(pkg *Package) {
 			}
 		}
 	}
-	// Call-graph nodes: every declared function with a body, plus every
-	// //det:specroot function literal (analyzed standalone so captured
-	// variables count as shared state).
+	// Call-graph nodes: every declared function with a body.
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -282,35 +199,6 @@ func (p *Program) indexPackage(pkg *Package) {
 			p.nodes = append(p.nodes, n)
 			p.byObj[obj] = n
 		}
-		ast.Inspect(f, func(nd ast.Node) bool {
-			lit, ok := nd.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			if _, ok := pkg.Annot.For(lit.Pos(), TagSpecroot); !ok {
-				return true
-			}
-			pos := pkg.Fset.Position(lit.Pos())
-			n := &funcNode{
-				pkg:  pkg,
-				lit:  lit,
-				body: lit.Body,
-				name: fmt.Sprintf("%s.(func literal at line %d)", pkg.Types.Name(), pos.Line),
-				lo:   lit.Pos(),
-				hi:   lit.End(),
-			}
-			if sig, ok := pkg.Info.Types[lit].Type.(*types.Signature); ok {
-				for i := 0; i < sig.Params().Len(); i++ {
-					n.params = append(n.params, sig.Params().At(i))
-				}
-				for i := 0; i < sig.Results().Len(); i++ {
-					n.results = append(n.results, sig.Results().At(i))
-				}
-			}
-			p.nodes = append(p.nodes, n)
-			p.litNodes[lit] = n
-			return true
-		})
 	}
 }
 
@@ -330,8 +218,7 @@ func declDisplayName(pkg *Package, fd *ast.FuncDecl) string {
 	return pkg.Types.Name() + "." + fd.Name.Name
 }
 
-// solve runs chaotic iteration to the fixpoint: effect sets and alloc
-// sets only grow and positions are finite, so this terminates; the round
+// solve runs chaotic iteration to the fixpoint: alloc sets only grow and positions are finite, so this terminates; the round
 // cap is a backstop, not a tuning knob.
 func (p *Program) solve() {
 	for round := 0; round < 50; round++ {
@@ -348,15 +235,6 @@ func (p *Program) solve() {
 			return
 		}
 	}
-}
-
-// Summary returns the solved summary for the function declared by obj,
-// or nil when obj is not an in-module function.
-func (p *Program) Summary(obj *types.Func) *summary {
-	if n := p.byObj[obj]; n != nil {
-		return p.summaries[n]
-	}
-	return nil
 }
 
 // chaTargets resolves an interface method call to every in-module
@@ -395,29 +273,8 @@ func (p *Program) chaTargets(iface types.Type, method string) []*funcNode {
 	return out
 }
 
-func namedOf(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	t = types.Unalias(t)
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
-}
-
-func derefType(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return ptr.Elem()
-	}
-	return t
-}
-
-// pointerLike reports whether values of t carry a reference through
-// which a callee could write caller-visible memory.
+// pointerLike reports whether values of t carry a reference to other
+// memory, so a copy keeps the provenance of what it was copied from.
 func pointerLike(t types.Type) bool {
 	if t == nil {
 		return false

@@ -2,8 +2,8 @@ package detlint
 
 // The intraprocedural half of the effects engine (effects.go): one
 // walker analyzes one funcNode, computing local provenance to a small
-// fixpoint and then collecting write effects and allocation sites, with
-// callee summaries substituted at call sites.
+// fixpoint and then collecting allocation sites, with callee summaries
+// substituted at call sites.
 
 import (
 	"go/ast"
@@ -24,9 +24,7 @@ type walker struct {
 	skipCall map[*ast.CallExpr]bool // go-launched calls
 	takenLit map[*ast.CompositeLit]bool
 
-	seenEff   map[string]bool
 	seenAlloc map[token.Pos]bool
-	effects   []effect
 	allocs    []allocSite
 	ret       prov
 }
@@ -40,22 +38,13 @@ func (p *Program) analyzeNode(n *funcNode) *summary {
 		skipLit:   make(map[*ast.FuncLit]bool),
 		skipCall:  make(map[*ast.CallExpr]bool),
 		takenLit:  make(map[*ast.CompositeLit]bool),
-		seenEff:   make(map[string]bool),
 		seenAlloc: make(map[token.Pos]bool),
 	}
 	if n.recv != nil {
 		w.env[n.recv] = prov{kind: provRecv}
 	}
 	for i, pv := range n.params {
-		if n.obj != nil {
-			w.env[pv] = prov{kind: provParam, param: i}
-		} else if pointerLike(pv.Type()) {
-			// Standalone-literal parameters have no caller-side story;
-			// writes through pointer-like ones degrade to havoc.
-			w.env[pv] = prov{kind: provUnknown}
-		} else {
-			w.env[pv] = prov{kind: provFresh}
-		}
+		w.env[pv] = prov{kind: provParam, param: i}
 	}
 	for range [8]struct{}{} {
 		w.envChanged = false
@@ -66,7 +55,7 @@ func (p *Program) analyzeNode(n *funcNode) *summary {
 	}
 	w.collect = true
 	w.walk()
-	return &summary{effects: w.effects, allocs: w.allocs, ret: w.ret}
+	return &summary{allocs: w.allocs, ret: w.ret}
 }
 
 func (w *walker) info() *types.Info { return w.fn.pkg.Info }
@@ -97,7 +86,7 @@ func (w *walker) annotFor(pos token.Pos, tag string) bool {
 // declExcused reports whether the containing declaration carries the
 // given escape tag, excusing every site inside the function. The whole
 // doc comment group is scanned so a declaration can stack several
-// //det: tags (e.g. specwrite and hotalloc on one memo function).
+// //det: tags.
 func (w *walker) declExcused(tag string) bool {
 	if w.fn.decl == nil {
 		return false
@@ -123,16 +112,14 @@ func (w *walker) walk() {
 	ast.Inspect(w.fn.body, func(nd ast.Node) bool {
 		switch x := nd.(type) {
 		case *ast.GoStmt:
-			// The goroutine body runs concurrently: havoc for effects,
-			// one allocation for the launch. Arguments still evaluate in
-			// this frame and are visited as children.
+			// The goroutine body runs concurrently and is not analyzed;
+			// the launch itself is one allocation. Arguments still
+			// evaluate in this frame and are visited as children.
 			if lit, ok := unparen(x.Call.Fun).(*ast.FuncLit); ok {
 				w.skipLit[lit] = true
 			}
 			w.skipCall[x.Call] = true
 			if w.collect {
-				w.addRaw(effect{kind: provUnknown, pos: x.Pos(),
-					desc: "launches a goroutine (concurrent effects are not analyzed)"})
 				w.addAlloc(x.Pos(), "goroutine launch")
 			}
 		case *ast.FuncLit:
@@ -146,14 +133,6 @@ func (w *walker) walk() {
 			}
 		case *ast.AssignStmt:
 			w.assign(x)
-		case *ast.IncDecStmt:
-			if w.collect {
-				w.writeTo(x.X, "update of")
-			}
-		case *ast.SendStmt:
-			if w.collect {
-				w.refWrite(x.Chan, "channel send to")
-			}
 		case *ast.DeclStmt:
 			w.declStmt(x)
 		case *ast.RangeStmt:
@@ -248,41 +227,24 @@ func (w *walker) assign(x *ast.AssignStmt) {
 			rhs = append(rhs, w.provOf(r))
 		}
 	}
+	// Only locals carry provenance: assignments to anything else (fields,
+	// elements, globals, captured variables) change no local binding.
 	for i, lhs := range x.Lhs {
-		lhs = unparen(lhs)
-		if id, ok := lhs.(*ast.Ident); ok {
-			if id.Name == "_" {
-				continue
-			}
-			v, ok := w.objOf(id).(*types.Var)
-			if !ok {
-				continue
-			}
-			local := !pkgScoped(v) && w.contains(v.Pos())
-			if local {
-				if i < len(rhs) {
-					w.updateEnv(v, rhs[i])
-				}
-				if i < len(x.Rhs) {
-					if _, isLit := unparen(x.Rhs[i]).(*ast.FuncLit); isLit {
-						w.litBind[v] = true
-					}
-				}
-				continue // writing local storage is frame-private
-			}
-			if w.collect {
-				if pkgScoped(v) {
-					w.addRaw(effect{kind: provGlobal, pos: id.Pos(),
-						desc: "assignment to package variable " + v.Name()})
-				} else {
-					w.addRaw(effect{kind: provCaptured, capv: v, pos: id.Pos(),
-						desc: "assignment to captured variable " + v.Name()})
-				}
-			}
+		id, ok := unparen(lhs).(*ast.Ident)
+		if !ok || id.Name == "_" {
 			continue
 		}
-		if w.collect {
-			w.writeTo(lhs, "assignment to")
+		v, ok := w.objOf(id).(*types.Var)
+		if !ok || pkgScoped(v) || !w.contains(v.Pos()) {
+			continue
+		}
+		if i < len(rhs) {
+			w.updateEnv(v, rhs[i])
+		}
+		if i < len(x.Rhs) {
+			if _, isLit := unparen(x.Rhs[i]).(*ast.FuncLit); isLit {
+				w.litBind[v] = true
+			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ func runHotAlloc(pass *Pass) error {
 	}
 	reported := make(map[token.Pos]bool)
 	for _, n := range prog.nodes {
-		if n.pkg != pkg || n.decl == nil {
+		if n.pkg != pkg {
 			continue
 		}
 		_, hot := pkg.Annot.For(n.decl.Pos(), TagHotpath)

@@ -35,11 +35,6 @@ type Params struct {
 	MaxCap    int     // Kw
 	GridN     int     // spatial index side
 	TickEvery float64 // Δt
-	// Shards is the dispatch engine's slot-shard count (0 and 1 both mean
-	// the sequential check). Sharding parallelizes within one simulation
-	// without changing any decision, so results are bit-identical at any
-	// value; baselines without a shardable check ignore it.
-	Shards int
 	// Arrival, when its Process is set, replaces the dataset's rush-hour
 	// arrival times with an open-loop arrival process schedule
 	// (load.ArrivalSpec: Poisson, surge or Pareto at a configured rate) —
@@ -176,7 +171,8 @@ type Trained struct {
 	Theta   *gmm.ThresholdSource
 }
 
-// Workload materializes the orders and workers for a configuration.
+// Workload materializes the orders and workers for a configuration. It
+// panics on an invalid Arrival spec; RunOne returns that as an error.
 func Workload(p Params) (*dataset.City, []*order.Order, []*order.Worker) {
 	return workloadIn(p.City.Build(), p)
 }
@@ -195,15 +191,33 @@ func workloadIn(city *dataset.City, p Params) (*dataset.City, []*order.Order, []
 		// the release schedule for the configured process over the default
 		// workload window. Times returns at most as many arrivals as fit
 		// the horizon; Retime drops whichever side is longer.
-		wcfg := dataset.WorkloadConfig{}.Defaults()
-		times, err := p.Arrival.Times(wcfg.HorizonSeconds)
+		times, err := arrivalTimes(p)
 		if err != nil {
-			panic(fmt.Sprintf("exp: invalid arrival spec: %v", err))
+			panic(err)
 		}
 		orders = load.Retime(orders, times, p.TauScale)
 	}
 	workers := city.Workers(p.Workers, p.MaxCap, p.Seed+1000)
 	return city, orders, workers
+}
+
+// arrivalTimes is the release schedule of p's Arrival process over the
+// default workload window.
+func arrivalTimes(p Params) ([]float64, error) {
+	times, err := p.Arrival.Times(dataset.WorkloadConfig{}.Defaults().HorizonSeconds)
+	if err != nil {
+		return nil, fmt.Errorf("exp: invalid arrival spec: %w", err)
+	}
+	return times, nil
+}
+
+// checkArrival reports an invalid Arrival spec (none set is valid).
+func checkArrival(p Params) error {
+	if p.Arrival.Process == "" {
+		return nil
+	}
+	_, err := arrivalTimes(p)
+	return err
 }
 
 // simConfig maps experiment parameters onto validated platform config.
@@ -367,18 +381,15 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 	case "WATTER-online":
 		fw := core.New(strategy.Online{}, poolOptions(p))
 		fw.Tick = p.TickEvery
-		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-timeout":
 		fw := core.New(strategy.Timeout{Tick: p.TickEvery}, poolOptions(p))
 		fw.Tick = p.TickEvery
-		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-expect":
 		trained := r.Train(p)
 		fw := core.New(nil, poolOptions(p))
 		fw.Tick = p.TickEvery
-		fw.SetShards(p.Shards)
 		src := &mdp.ValueThresholdSource{
 			Net:  trained.Net,
 			Feat: trained.Feat,
@@ -424,6 +435,9 @@ func MustBuild(name string, p Params) sim.Algorithm {
 func (r *Runner) RunOne(name string, p Params) (*Result, error) {
 	if p.NumCities > 1 {
 		return r.runProxyCell(name, p)
+	}
+	if err := checkArrival(p); err != nil {
+		return nil, err
 	}
 	alg, err := r.Build(name, p)
 	if err != nil {

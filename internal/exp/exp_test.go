@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"watter/internal/dataset"
+	"watter/internal/load"
 )
 
 // smallParams keeps harness tests fast.
@@ -245,6 +246,31 @@ func TestModelKeyCoversTrainParams(t *testing.T) {
 	for i, v := range variants {
 		if modelKey(v(base)) == modelKey(base) {
 			t.Fatalf("variant %d does not change the model cache key", i)
+		}
+	}
+}
+
+// TestRunOneRejectsInvalidArrival pins that a bad Params.Arrival comes
+// back from RunOne as an error, on the single-city and the proxy-cell
+// path, instead of panicking inside the workload builder.
+func TestRunOneRejectsInvalidArrival(t *testing.T) {
+	bad := map[string]load.ArrivalSpec{
+		"negative rate":   {Process: load.Poisson, Rate: -1},
+		"unknown process": {Process: "bursty", Rate: 1},
+	}
+	r := NewRunner()
+	for name, spec := range bad {
+		for _, cities := range []int{1, 2} {
+			p := smallParams()
+			p.Arrival = spec
+			p.NumCities = cities
+			res, err := r.RunOne("GDP", p)
+			if err == nil || res != nil {
+				t.Fatalf("%s, %d cities: RunOne = (%v, %v), want an error", name, cities, res, err)
+			}
+			if !strings.Contains(err.Error(), "invalid arrival spec") {
+				t.Fatalf("%s, %d cities: error %q does not name the arrival spec", name, cities, err)
+			}
 		}
 	}
 }

@@ -17,6 +17,9 @@ import (
 // aggregate is exactly the sum of N standalone runs, which the proxy
 // package's bit-identity tests enforce.
 func (r *Runner) runProxyCell(name string, p Params) (*Result, error) {
+	if err := checkArrival(p); err != nil {
+		return nil, err
+	}
 	city := r.city(p.City)
 	specs := make([]proxy.CitySpec, 0, p.NumCities)
 	workloads := make(map[string][]*order.Order, p.NumCities)

@@ -17,12 +17,7 @@ import (
 // ring with pruned point-to-point searches instead of per-worker full
 // Dijkstras.
 //
-// The index itself is single-goroutine state (each simulation job owns its
-// own index), but reads can be fanned out: NewReader returns a probe handle
-// with private scratch that runs the identical search over the shared cell
-// buckets, so several goroutines may probe concurrently as long as nobody
-// mutates the index (no Update) while they run. The sharded dispatch
-// engine's speculation phase is built on exactly that contract.
+// The index is single-goroutine state: each simulation job owns its own.
 type WorkerIndex struct {
 	ix      *Index
 	net     roadnet.Network
@@ -30,21 +25,8 @@ type WorkerIndex struct {
 	cellOf  map[int]int       // worker id -> cell id
 	workers map[int]*order.Worker
 
-	// Reusable batching scratch for the index's own (single-goroutine)
-	// queries; concurrent readers get their own via NewReader.
-	sc probeScratch
-
-	// moveObs, when set, observes every Update with the worker's previous
-	// and current cell (equal when the worker stayed put). The sharded
-	// dispatch engine uses it to invalidate speculative probes that
-	// considered the updated worker as a candidate.
-	moveObs func(w *order.Worker, oldCell, newCell int)
-}
-
-// probeScratch is the per-caller buffer set of one ring search.
-//
-//det:scratch private ring-search buffers, one set per querying goroutine
-type probeScratch struct {
+	// Reusable ring-search scratch: the ring's candidates, their
+	// locations, and their costs to the probed node.
 	candBuf []*order.Worker
 	locBuf  []geo.NodeID
 	costBuf []float64
@@ -72,14 +54,6 @@ func (wi *WorkerIndex) insert(w *order.Worker) {
 	wi.workers[w.ID] = w
 }
 
-// SetMoveObserver installs fn, called after every Update with the worker's
-// previous and current cell (equal when the worker's state changed without
-// leaving its cell — a dispatch that books it in place still fires). Pass
-// nil to remove.
-func (wi *WorkerIndex) SetMoveObserver(fn func(w *order.Worker, oldCell, newCell int)) {
-	wi.moveObs = fn
-}
-
 // Update must be called after a worker's state changes (e.g. after a
 // dispatch books it: FreeAt moves into the future and Loc becomes the
 // route's last drop-off point).
@@ -87,10 +61,6 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 	old, ok := wi.cellOf[w.ID]
 	if !ok {
 		wi.insert(w)
-		if wi.moveObs != nil {
-			c := wi.cellOf[w.ID]
-			wi.moveObs(w, c, c)
-		}
 		return
 	}
 	nc := wi.ix.CellOf(w.Loc)
@@ -106,32 +76,29 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 		wi.cells[nc] = append(wi.cells[nc], w)
 		wi.cellOf[w.ID] = nc
 	}
-	if wi.moveObs != nil {
-		wi.moveObs(w, old, nc)
-	}
 }
 
 // ringCosts batches the travel times from every candidate gathered for the
-// current ring to node, reusing the caller's scratch buffers. maxCost bounds
+// current ring to node, reusing the index's scratch buffers. maxCost bounds
 // each underlying search: candidates beyond it may come back +Inf, which
 // every caller filters out anyway. On a Graph network this runs one pruned
 // forward search per distinct candidate location (plus duplicate-location
 // dedup) — a single reverse-graph sweep from node would be cheaper, but
 // reverse-order float folds would break the engine's bit-equivalence
 // contract with Cost, so forward searches are deliberate.
-func (wi *WorkerIndex) ringCosts(sc *probeScratch, node geo.NodeID, maxCost float64) []float64 {
-	sc.locBuf = sc.locBuf[:0]
-	for _, w := range sc.candBuf {
-		sc.locBuf = append(sc.locBuf, w.Loc)
+func (wi *WorkerIndex) ringCosts(node geo.NodeID, maxCost float64) []float64 {
+	wi.locBuf = wi.locBuf[:0]
+	for _, w := range wi.candBuf {
+		wi.locBuf = append(wi.locBuf, w.Loc)
 	}
-	if cap(sc.costBuf) < len(sc.locBuf) {
+	if cap(wi.costBuf) < len(wi.locBuf) {
 		//det:hotalloc grows the scratch cost row once per ring-size high-water mark
-		sc.costBuf = make([]float64, len(sc.locBuf))
+		wi.costBuf = make([]float64, len(wi.locBuf))
 	}
-	sc.costBuf = sc.costBuf[:len(sc.locBuf)]
+	wi.costBuf = wi.costBuf[:len(wi.locBuf)]
 	target := [1]geo.NodeID{node}
-	roadnet.FillCostMatrixWithin(wi.net, sc.locBuf, target[:], maxCost, sc.costBuf)
-	return sc.costBuf
+	roadnet.FillCostMatrixWithin(wi.net, wi.locBuf, target[:], maxCost, wi.costBuf)
+	return wi.costBuf
 }
 
 // ClosestIdle returns the idle worker (FreeAt <= now) with at least
@@ -151,25 +118,9 @@ func (wi *WorkerIndex) ClosestIdle(node geo.NodeID, now float64, minCapacity int
 // (+Inf cost) are never candidates — a grid-near but disconnected worker
 // must not shadow a reachable one. Returns the worker and its travel time,
 // or (nil, +Inf).
-func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64) {
-	return wi.closestIdleWithin(node, now, minCapacity, maxCost, &wi.sc, nil)
-}
-
-// closestIdleWithin is the one implementation of the budgeted ring search.
-// The index's own queries and every ProbeReader run this exact code over
-// the same cell buckets, so the two paths are bit-identical by
-// construction. When cands is non-nil, every costed in-budget candidate's
-// worker ID is appended to it — the exact dependency footprint a
-// speculative caller needs: a dispatch can only book workers (idle ->
-// busy, never the reverse within a tick), so re-running the search after
-// some bookings removes candidates and never adds any. Removing a
-// non-candidate (busy, under-capacity, out-of-budget or unreachable here)
-// cannot change the argmin, and removing an in-budget candidate is
-// exactly what the recorded IDs detect — so the search's answer is stable
-// iff no recorded candidate was booked.
 //
-//det:hotpath the budgeted ring search backs every dispatch probe and every speculation; buffers come from the caller's scratch
-func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, sc *probeScratch, cands *[]int32) (*order.Worker, float64) {
+//det:hotpath the budgeted ring search backs every dispatch probe; buffers come from the index's scratch
+func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64) {
 	center := wi.ix.CellOf(node)
 	var best *order.Worker
 	bestCost := math.Inf(1)
@@ -177,7 +128,7 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 	foundAt := -1
 	seen := 0 // workers encountered (any state); == Len() means later rings are empty
 	for d := 0; d <= maxD; d++ {
-		sc.candBuf = sc.candBuf[:0]
+		wi.candBuf = wi.candBuf[:0]
 		//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
 		wi.ix.Ring(center, d, func(cell int) bool {
 			seen += len(wi.cells[cell])
@@ -185,19 +136,16 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 				if !w.IdleAt(now) || w.Capacity < minCapacity {
 					continue
 				}
-				sc.candBuf = append(sc.candBuf, w)
+				wi.candBuf = append(wi.candBuf, w)
 			}
 			return true
 		})
-		if len(sc.candBuf) > 0 {
-			costs := wi.ringCosts(sc, node, maxCost)
-			for i, w := range sc.candBuf {
+		if len(wi.candBuf) > 0 {
+			costs := wi.ringCosts(node, maxCost)
+			for i, w := range wi.candBuf {
 				c := costs[i]
 				if math.IsInf(c, 1) || c > maxCost {
 					continue // unreachable or beyond the deadline budget
-				}
-				if cands != nil {
-					*cands = append(*cands, int32(w.ID))
 				}
 				if best == nil || c < bestCost || (c == bestCost && w.ID < best.ID) {
 					best = w
@@ -221,39 +169,6 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 	return best, bestCost
 }
 
-// ProbeReader is a read-only probe handle over the index with private
-// scratch: several readers may run ClosestIdleWithin concurrently (against
-// each other and against nothing else — the index must not be mutated while
-// any reader is in flight). Each probe also records the in-budget
-// candidates it costed, which is exactly the dependency footprint of its
-// answer.
-//
-//det:scratch reader-private probe state, never shared across goroutines
-type ProbeReader struct {
-	wi    *WorkerIndex
-	sc    probeScratch
-	cands []int32
-}
-
-// NewReader returns a concurrent probe handle over the index.
-func (wi *WorkerIndex) NewReader() *ProbeReader {
-	return &ProbeReader{wi: wi}
-}
-
-// ClosestIdleWithin runs the identical budgeted ring search as
-// WorkerIndex.ClosestIdleWithin and additionally returns the worker IDs of
-// every costed in-budget candidate — the probe's answer is unchanged by
-// later same-tick dispatches exactly while none of these workers is
-// booked. The returned slice is the reader's scratch, valid until its next
-// probe.
-//
-//det:specroot concurrent probes must write only their reader's own scratch
-func (r *ProbeReader) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64, []int32) {
-	r.cands = r.cands[:0]
-	w, cost := r.wi.closestIdleWithin(node, now, minCapacity, maxCost, &r.sc, &r.cands)
-	return w, cost, r.cands
-}
-
 // KNearest returns up to k workers passing pred, ordered by increasing
 // travel time from their location to node. The ring search scans outward
 // and stops once it has k hits and one extra ring (grid distance only
@@ -271,9 +186,8 @@ func (wi *WorkerIndex) KNearest(node geo.NodeID, k int, pred func(*order.Worker)
 	var cands []cand
 	foundAt := -1
 	seen := 0
-	sc := &wi.sc
 	for d := 0; d <= wi.ix.N(); d++ {
-		sc.candBuf = sc.candBuf[:0]
+		wi.candBuf = wi.candBuf[:0]
 		//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
 		wi.ix.Ring(center, d, func(cell int) bool {
 			seen += len(wi.cells[cell])
@@ -281,13 +195,13 @@ func (wi *WorkerIndex) KNearest(node geo.NodeID, k int, pred func(*order.Worker)
 				if pred != nil && !pred(w) {
 					continue
 				}
-				sc.candBuf = append(sc.candBuf, w)
+				wi.candBuf = append(wi.candBuf, w)
 			}
 			return true
 		})
-		if len(sc.candBuf) > 0 {
-			costs := wi.ringCosts(sc, node, math.Inf(1))
-			for i, w := range sc.candBuf {
+		if len(wi.candBuf) > 0 {
+			costs := wi.ringCosts(node, math.Inf(1))
+			for i, w := range wi.candBuf {
 				if math.IsInf(costs[i], 1) {
 					continue // disconnected: not a usable candidate
 				}

@@ -40,8 +40,6 @@ type Config struct {
 	// (see QueueModel); defaults 256 and 64.
 	Buffer       int
 	DrainPerTick int
-	// Shards is the dispatch engine's slot-shard count (0/1 sequential).
-	Shards int
 	// Alg overrides the dispatch algorithm (default: WATTER-online with
 	// the pool sized to MaxCap).
 	Alg sim.Algorithm
@@ -303,9 +301,6 @@ func Run(cfg Config) (*Result, error) {
 		popt.Capacity = cfg.MaxCap
 		popt.MaxGroupSize = cfg.MaxCap
 		opts = append(opts, platform.WithPool(popt))
-	}
-	if cfg.Shards > 1 {
-		opts = append(opts, platform.WithShards(cfg.Shards))
 	}
 	p, err := platform.New(city.Net, workers, opts...)
 	if err != nil {

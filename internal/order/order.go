@@ -6,6 +6,7 @@ package order
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"watter/internal/geo"
@@ -51,6 +52,9 @@ func (o *Order) Expired(now float64) bool { return now+o.DirectCost > o.Deadline
 // Validate returns an error when the order's fields are inconsistent.
 func (o *Order) Validate() error {
 	switch {
+	case !finite(o.Release) || !finite(o.Deadline) || !finite(o.WaitLimit) || !finite(o.DirectCost):
+		return fmt.Errorf("order %d: non-finite time (release %v, deadline %v, wait limit %v, direct cost %v)",
+			o.ID, o.Release, o.Deadline, o.WaitLimit, o.DirectCost)
 	case o.Riders < 1:
 		return fmt.Errorf("order %d: riders %d < 1", o.ID, o.Riders)
 	case o.Deadline < o.Release:
@@ -62,6 +66,8 @@ func (o *Order) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // StopKind distinguishes pickups from dropoffs in a route.
 type StopKind int8

@@ -8,7 +8,6 @@ import (
 	"watter/internal/core"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
-	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/strategy"
 )
@@ -194,13 +193,13 @@ func TestObserver(t *testing.T) {
 }
 
 // TestStatsComposite pins the unified observability snapshot: the order
-// ledger matches the metrics, the pool-cache and shard counters agree with
-// the subsystems' own counters, and lifecycle flags track state.
+// ledger matches the metrics, the pool-cache counters agree with the
+// pool's own counters, and lifecycle flags track state.
 func TestStatsComposite(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	fw := core.New(strategy.Online{}, pool.DefaultOptions())
 	p, err := New(net, testFleet(net, 2), WithMeasuredTime(false),
-		WithAlgorithm(fw), WithShards(2))
+		WithAlgorithm(fw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +230,12 @@ func TestStatsComposite(t *testing.T) {
 	if got := fw.Pool().CacheStats(); got != st.PoolCache {
 		t.Fatalf("pool cache counters diverged: %+v vs %+v", st.PoolCache, got)
 	}
-	if !st.ShardActive {
-		t.Fatal("K=2 platform must expose shard stats")
-	}
-	if got := fw.ShardEngine().Stats(); got != st.Shard {
-		t.Fatalf("shard counters diverged: %+v vs %+v", st.Shard, got)
-	}
-
-	// Baselines without pool or engine report inactive, not zero-lies.
+	// Baselines without a pool report inactive, not zero-lies.
 	p2, err := New(net, testFleet(net, 1), WithAlgorithm(stub{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p2.Stats(); st.PoolCacheActive || st.ShardActive {
+	if st := p2.Stats(); st.PoolCacheActive {
 		t.Fatalf("stub algorithm claims subsystems: %+v", st)
 	}
 }
@@ -254,8 +246,6 @@ func TestStatsComposite(t *testing.T) {
 func TestStatsMerge(t *testing.T) {
 	a := Stats{Clock: 50, Closed: true, Orders: OrderCounts{Submitted: 10, Served: 7, Rejected: 2, Pending: 1}}
 	a.PoolCache.Hits = 5
-	a.Shard.GroupHits = 3
-	a.ShardActive = true
 	b := Stats{Clock: 80, Paused: true, Orders: OrderCounts{Submitted: 4, Served: 4}}
 	b.PoolCache.Hits = 2
 	b.PoolCacheActive = true
@@ -268,7 +258,7 @@ func TestStatsMerge(t *testing.T) {
 	if agg.Orders.Submitted != 14 || agg.Orders.Served != 11 || agg.Orders.Rejected != 2 || agg.Orders.Pending != 1 {
 		t.Fatalf("ledger fold wrong: %+v", agg.Orders)
 	}
-	if agg.PoolCache.Hits != 7 || !agg.PoolCacheActive || agg.Shard.GroupHits != 3 || !agg.ShardActive {
+	if agg.PoolCache.Hits != 7 || !agg.PoolCacheActive {
 		t.Fatalf("subsystem fold wrong: %+v", agg)
 	}
 }
@@ -282,8 +272,6 @@ func TestStatsMerge(t *testing.T) {
 func TestStatsMergeZeroValue(t *testing.T) {
 	a := Stats{Clock: 50, Closed: true, Paused: true,
 		Orders: OrderCounts{Submitted: 9, Served: 6, Rejected: 2, Pending: 1}}
-	a.ShardActive = true
-	a.Shard.Ticks = 4
 	a.PoolCacheActive = true
 	a.PoolCache.Hits = 3
 
@@ -306,8 +294,8 @@ func TestStatsMergeZeroValue(t *testing.T) {
 
 // TestStatsMergeClockAndFlags pins the non-additive folds: Clock is a
 // max in both directions, Closed is an AND, Paused is an OR, and the
-// subsystem-active flags OR (a fleet with one sharded city reports
-// sharding active; a fleet with none does not).
+// subsystem-active flag ORs (a fleet with one pooled city reports the
+// plan cache active; a fleet with none does not).
 func TestStatsMergeClockAndFlags(t *testing.T) {
 	newer := Stats{Clock: 90, Closed: true}
 	older := Stats{Clock: 30, Closed: true}
@@ -330,12 +318,12 @@ func TestStatsMergeClockAndFlags(t *testing.T) {
 
 	inactive := Stats{}
 	inactive.Merge(Stats{})
-	if inactive.ShardActive || inactive.PoolCacheActive {
+	if inactive.PoolCacheActive {
 		t.Fatalf("inactive+inactive claims subsystems: %+v", inactive)
 	}
-	one := Stats{ShardActive: true}
+	one := Stats{}
 	one.Merge(Stats{PoolCacheActive: true})
-	if !one.ShardActive || !one.PoolCacheActive {
+	if !one.PoolCacheActive {
 		t.Fatalf("active flags must OR: %+v", one)
 	}
 }
@@ -343,7 +331,7 @@ func TestStatsMergeClockAndFlags(t *testing.T) {
 // TestStatsMergeCoversEveryCounter self-merges a snapshot whose every
 // numeric field holds a distinct value and checks each one exactly
 // doubled (fields with max semantics — Clock, the event-bus high-water
-// mark — stay put instead). Adding a counter to shard.Stats or
+// mark — stay put instead). Adding a counter to Stats or
 // pool.CacheStats without extending Merge fails here — the field would
 // come back un-doubled.
 func TestStatsMergeCoversEveryCounter(t *testing.T) {
@@ -409,9 +397,8 @@ func TestStatsMergeCoversEveryCounter(t *testing.T) {
 }
 
 // TestStatsInactiveSubsystems pins Platform.Stats on platforms whose
-// algorithm exposes no shard engine and no pool: the flags must read
-// inactive with genuinely zero counters, and a K=1 pooled platform must
-// report the pool cache active but sharding inactive.
+// algorithm exposes no pool: the flag must read inactive with genuinely
+// zero counters, and a pooled platform must report the pool cache active.
 func TestStatsInactiveSubsystems(t *testing.T) {
 	net := roadnet.NewGridCity(8, 8, 100, 10)
 
@@ -420,10 +407,10 @@ func TestStatsInactiveSubsystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.ShardActive || st.PoolCacheActive {
+	if st.PoolCacheActive {
 		t.Fatalf("stub platform claims subsystems: %+v", st)
 	}
-	if st.Shard != (shard.Stats{}) || st.PoolCache != (pool.CacheStats{}) {
+	if st.PoolCache != (pool.CacheStats{}) {
 		t.Fatalf("inactive subsystems must report zero counters: %+v", st)
 	}
 
@@ -437,11 +424,7 @@ func TestStatsInactiveSubsystems(t *testing.T) {
 	if err := solo.Submit(testOrder(net, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	st = solo.Stats()
-	if st.ShardActive {
-		t.Fatalf("K=1 platform claims a shard engine: %+v", st)
-	}
-	if !st.PoolCacheActive {
-		t.Fatalf("pooled K=1 platform must expose its plan cache: %+v", st)
+	if st = solo.Stats(); !st.PoolCacheActive {
+		t.Fatalf("pooled platform must expose its plan cache: %+v", st)
 	}
 }

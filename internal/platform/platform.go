@@ -33,6 +33,12 @@ var (
 	ErrAborted = errors.New("platform: aborted")
 )
 
+// ErrInvalidOrder is what Submit wraps (test with errors.Is) when it
+// refuses an order: nil, inconsistent or non-finite fields, a node
+// outside the network, an ID still pending, a release behind the clock,
+// or a deadline beyond sim.MaxTickSpan checks.
+var ErrInvalidOrder = sim.ErrInvalidOrder
+
 // Platform is a ridesharing service instance: one network, one fleet, one
 // dispatch algorithm, and a streaming clock. It is not safe for
 // concurrent use — one goroutine feeds it; event consumers run elsewhere.
@@ -59,7 +65,6 @@ type config struct {
 	alg      sim.Algorithm
 	poolOpt  *pool.Options
 	buffer   int
-	shards   int
 	observer func(Event)
 }
 
@@ -146,33 +151,6 @@ func WithPool(opt pool.Options) Option {
 	}
 }
 
-// WithShards sets the dispatch engine's slot-shard count: K > 1 fans the
-// periodic check's expensive read-only work (worker-probe ring searches,
-// singleton plans, pairwise shareability prewarm) over K goroutines while
-// the platform's decisions — and therefore its metrics and its event
-// stream — stay bit-identical to the default K = 1 sequential check
-// (every event is still emitted from the one sequential commit pass, so
-// the bus order needs no merging). Sharding is a capability of the WATTER
-// pooling framework; algorithms without a shardable check (the GDP/GAS
-// baselines) run unsharded regardless of K. Must be at least 1.
-//
-// K > 1 issues concurrent read-only queries (Cost/FillCostMatrix)
-// against the platform's Network from the shard goroutines, so the
-// network must tolerate concurrent queries. Every network this module
-// ships — GridCity (stateless closed form) and Graph (mutex-guarded
-// cache, pooled search state, hammered by the roadnet concurrency
-// tests) — does; a custom Network with unguarded internal memoization
-// must add its own synchronization before enabling shards.
-func WithShards(k int) Option {
-	return func(c *config) error {
-		if k < 1 {
-			return fmt.Errorf("platform: shard count must be at least 1, got %d (1 is the sequential check)", k)
-		}
-		c.shards = k
-		return nil
-	}
-}
-
 // WithMeasuredTime toggles wall-clock accounting of algorithm hooks
 // (Metrics.DecisionSeconds). Default on, matching DefaultRunOptions.
 func WithMeasuredTime(on bool) Option {
@@ -219,9 +197,6 @@ type tickSetter interface{ SetTick(float64) }
 
 // poolSetter is the pool-retuning hook the pooling framework exposes.
 type poolSetter interface{ SetPoolOptions(pool.Options) }
-
-// shardSetter is the dispatch-sharding hook the pooling framework exposes.
-type shardSetter interface{ SetShards(int) }
 
 // New builds a platform over a network and fleet. Every parameter is
 // validated — construction fails loudly instead of silently coercing:
@@ -281,11 +256,6 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 	if ts, ok := c.alg.(tickSetter); ok {
 		ts.SetTick(c.opts.TickEvery)
 	}
-	if c.shards > 1 {
-		if ss, ok := c.alg.(shardSetter); ok {
-			ss.SetShards(c.shards)
-		}
-	}
 	env := sim.NewEnv(net, workers, c.cfg) // cfg validated above: cannot panic
 	stream, err := sim.NewStream(env, c.alg, c.opts)
 	if err != nil {
@@ -334,8 +304,9 @@ func (p *Platform) Events() <-chan Event {
 }
 
 // Submit admits one order into the platform. Orders must be valid and
-// arrive in non-decreasing release order; every periodic check due before
-// the release fires first. The platform takes ownership of the order and
+// arrive in non-decreasing release order — a refused order returns an
+// error wrapping ErrInvalidOrder; every periodic check due before the
+// release fires first. The platform takes ownership of the order and
 // enriches DirectCost when unset — callers replaying a shared slice
 // should go through Replay, which clones.
 func (p *Platform) Submit(o *order.Order) error {
@@ -345,14 +316,13 @@ func (p *Platform) Submit(o *order.Order) error {
 	if p.paused {
 		return ErrPaused
 	}
-	if o == nil {
-		return errors.New("platform: nil order")
-	}
-	if err := o.Validate(); err != nil {
+	// A refused order has no side effects and leaves the run unstarted,
+	// so Events can still subscribe after it.
+	if err := p.stream.Submit(o); err != nil {
 		return err
 	}
 	p.fed = true
-	return p.stream.Submit(o)
+	return nil
 }
 
 // Tick fires the next periodic check immediately and returns its

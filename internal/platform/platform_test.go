@@ -2,10 +2,12 @@ package platform
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"watter/internal/core"
+	"watter/internal/geo"
 	"watter/internal/order"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
@@ -78,9 +80,9 @@ func (stub) OnOrder(o *order.Order, now float64) {}
 func (stub) OnTick(now float64)                  {}
 func (stub) Finish(now float64)                  {}
 
-// TestSubmitValidatesAndOrders pins the ingestion error surface: invalid
-// orders and out-of-order releases are rejected, and the platform is
-// unusable after Close.
+// TestSubmitValidatesAndOrders pins the ingestion error surface: invalid,
+// hostile and duplicate-ID orders and out-of-order releases are refused
+// with ErrInvalidOrder, and the platform is unusable after Close.
 func TestSubmitValidatesAndOrders(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	p, err := New(net, testFleet(net, 2))
@@ -98,12 +100,40 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 	if err := p.Submit(testOrder(net, 2, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(testOrder(net, 3, 20)); err == nil {
-		t.Fatal("out-of-order release accepted")
+	if err := p.Submit(testOrder(net, 3, 20)); !errors.Is(err, ErrInvalidOrder) {
+		t.Fatalf("out-of-order release: %v", err)
+	}
+
+	// Hostile orders get an ErrInvalidOrder, never a wedge or a panic.
+	hostile := map[string]func(o *order.Order){
+		"release +Inf":      func(o *order.Order) { o.Release, o.Deadline = math.Inf(1), math.Inf(1) },
+		"deadline NaN":      func(o *order.Order) { o.Deadline = math.NaN() },
+		"wait limit +Inf":   func(o *order.Order) { o.WaitLimit = math.Inf(1) },
+		"direct cost NaN":   func(o *order.Order) { o.DirectCost = math.NaN() },
+		"negative pickup":   func(o *order.Order) { o.Pickup = -1 },
+		"dropoff past end":  func(o *order.Order) { o.Dropoff = geo.NodeID(net.NumNodes()) },
+		"deadline too late": func(o *order.Order) { o.Deadline = 50 + 10*(sim.MaxTickSpan+1) },
+	}
+	for name, spoil := range hostile {
+		o := testOrder(net, 10, 50)
+		spoil(o)
+		if err := p.Submit(o); !errors.Is(err, ErrInvalidOrder) {
+			t.Fatalf("%s: Submit returned %v, want ErrInvalidOrder", name, err)
+		}
+	}
+	// Order 2 is still pending (released at 50, no check has run since):
+	// reusing its ID would leak one order from the ledger.
+	for i := 0; i < 2; i++ {
+		if err := p.Submit(testOrder(net, 2, 50)); !errors.Is(err, ErrInvalidOrder) {
+			t.Fatalf("pending ID reused: %v", err)
+		}
 	}
 	m, err := p.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Total != 1 || m.Served+m.Rejected != m.Total {
+		t.Fatalf("ledger after refused submits: total %d served %d rejected %d", m.Total, m.Served, m.Rejected)
 	}
 	if err := p.Submit(testOrder(net, 4, 99)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
@@ -118,6 +148,52 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 	if err != nil || m2 != m {
 		t.Fatalf("double close must repeat the first result: got (%p, %v), want (%p, nil)", m2, err, m)
 	}
+
+	// On an explicit road graph an out-of-range node used to index past
+	// the graph's arrays and panic.
+	g := smallGraph(t)
+	pg, err := New(g, []*order.Worker{{ID: 1, Loc: 0, Capacity: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &order.Order{ID: 1, Pickup: 0, Dropoff: geo.NodeID(g.NumNodes() + 3), Riders: 1, Deadline: 600, WaitLimit: 60}
+	if err := pg.Submit(o); !errors.Is(err, ErrInvalidOrder) {
+		t.Fatalf("out-of-range dropoff on a graph: %v", err)
+	}
+	o.Dropoff = geo.NodeID(g.NumNodes() - 1)
+	if err := pg.Submit(o); err != nil {
+		t.Fatalf("valid order after a refused one: %v", err)
+	}
+	if m, err := pg.Close(); err != nil || m.Total != 1 || m.Served+m.Rejected != 1 {
+		t.Fatalf("graph ledger: %+v, %v", m, err)
+	}
+}
+
+// smallGraph is a 3x3 bidirectional lattice with 60 s edges.
+func smallGraph(t testing.TB) *roadnet.Graph {
+	var b roadnet.GraphBuilder
+	const side = 3
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			b.AddNode(geo.Point{X: float64(x) * 500, Y: float64(y) * 500})
+		}
+	}
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
+			n := geo.NodeID(y*side + x)
+			if x+1 < side {
+				b.AddBidirectional(n, n+1, 60)
+			}
+			if y+1 < side {
+				b.AddBidirectional(n, n+side, 60)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestEventSequence pins the typed event stream of a tiny deterministic

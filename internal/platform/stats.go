@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"watter/internal/pool"
-	"watter/internal/shard"
-)
+import "watter/internal/pool"
 
 // OrderCounts summarizes the platform's order ledger at a point in time.
 // Pending orders were admitted but have neither been dispatched nor
@@ -18,7 +15,7 @@ type OrderCounts struct {
 // Stats is the platform's one composite observability snapshot: clock,
 // lifecycle state, order ledger, event-bus depth, and the per-subsystem
 // counters that used to require reaching into each subsystem separately
-// (the sharded dispatch engine, the shareability-graph plan cache). The
+// (the shareability-graph plan cache). The
 // proxy's aggregated admin stats fold snapshots of this same struct, so a
 // dashboard reads one shape whether it watches one city or fifty.
 type Stats struct {
@@ -46,12 +43,6 @@ type Stats struct {
 	// once.
 	EventQueueHighWater int
 	EventBlockedSends   uint64
-
-	// Shard carries the slot-sharded dispatch engine's speculation
-	// counters; ShardActive is false when no engine is running (K = 1, or
-	// an algorithm without a shardable check).
-	Shard       shard.Stats
-	ShardActive bool
 
 	// PoolCache carries the shareability graph's plan-cache counters;
 	// PoolCacheActive is false for algorithms without a pool (GDP/GAS).
@@ -83,12 +74,6 @@ func (p *Platform) Stats() Stats {
 	if p.sink != nil {
 		st.EventQueueHighWater = p.sink.highWater
 		st.EventBlockedSends = p.sink.blockedSends
-	}
-	if se, ok := p.stream.Alg().(interface{ ShardEngine() *shard.Engine }); ok {
-		if eng := se.ShardEngine(); eng != nil {
-			st.Shard = eng.Stats()
-			st.ShardActive = true
-		}
 	}
 	if ps, ok := p.stream.Alg().(interface{ Pool() *pool.Pool }); ok {
 		if pl := ps.Pool(); pl != nil {
@@ -124,19 +109,6 @@ func (s *Stats) Merge(t Stats) {
 		s.EventQueueHighWater = t.EventQueueHighWater
 	}
 	s.EventBlockedSends += t.EventBlockedSends
-
-	s.Shard.Ticks += t.Shard.Ticks
-	s.Shard.SpecOrders += t.Shard.SpecOrders
-	s.Shard.GroupHits += t.Shard.GroupHits
-	s.Shard.GroupInvalid += t.Shard.GroupInvalid
-	s.Shard.GroupMiss += t.Shard.GroupMiss
-	s.Shard.SoloHits += t.Shard.SoloHits
-	s.Shard.SoloInvalid += t.Shard.SoloInvalid
-	s.Shard.SoloMiss += t.Shard.SoloMiss
-	s.Shard.PlanHits += t.Shard.PlanHits
-	s.Shard.PrewarmTasks += t.Shard.PrewarmTasks
-	s.Shard.SlotHandoffs += t.Shard.SlotHandoffs
-	s.ShardActive = s.ShardActive || t.ShardActive
 
 	s.PoolCache.Hits += t.PoolCache.Hits
 	s.PoolCache.NegativeHits += t.PoolCache.NegativeHits

@@ -61,8 +61,6 @@ func (s CacheStats) HitRate() float64 {
 // planEntry memoizes one member set's route DP outcome. members and svc are
 // in canonical (ascending-ID) order; group is materialized lazily, only
 // when the clique actually wins some order's best-group race.
-//
-//det:scratch entries are written only by their constructing goroutine before cacheInsert publishes them
 type planEntry struct {
 	members  []*order.Order
 	svc      []float64 // per-member service times T(L(i))

@@ -34,8 +34,6 @@ import (
 // two-phase distance labels (state = node for climbing, node+n for
 // descending), the shared heuristic cache, the frontier heap, the shortcut
 // unpack stack, and the same target bookkeeping as ppScratch.
-//
-//det:scratch pooled per-query CH search state; arrays are generation-stamped and reused across queries
 type chScratch struct {
 	dist []float32 // len 2n: tentative fold per (node, phase) state
 	gen  []uint32

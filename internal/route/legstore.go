@@ -1,8 +1,6 @@
 package route
 
 import (
-	"slices"
-
 	"watter/internal/geo"
 	"watter/internal/order"
 	"watter/internal/roadnet"
@@ -53,7 +51,6 @@ type rowNetwork interface {
 }
 
 // rowTable holds the per-order shortest-path rows of a row-backed store.
-// Task stores made by Fork share it read-only.
 type rowTable struct {
 	net rowNetwork
 	// of maps an order ID to its rows: costs from the pickup to every node,
@@ -76,21 +73,6 @@ func NewLegStore(net roadnet.Network) *LegStore {
 		s.rows = &rowTable{net: rn, of: make(map[int][]float32)}
 	}
 	return s
-}
-
-// Fork returns an empty store over the same network that reads this
-// store's order rows. The sharded engine's pair prewarm gives each task a
-// fork: the coordinator fills every row the tasks need (PreparePair)
-// before fanning out, so tasks only read the shared rows, and their blocks
-// come back through Adopt. Rows must not be prepared or evicted while
-// forks are in use.
-func (s *LegStore) Fork() *LegStore {
-	return &LegStore{
-		net:     s.net,
-		rows:    s.rows,
-		blocks:  make(map[pairKey]*legBlock),
-		byOrder: make(map[int][]pairKey),
-	}
 }
 
 // PreparePair fills whichever of the two orders' shortest-path rows are
@@ -155,8 +137,6 @@ func (s *LegStore) rowBlock(lo, hi *order.Order, blk *legBlock) bool {
 // orders' rows, or else with one batched network query) and whether the
 // pair was given in (hi, lo) order — the caller needs that to map member
 // indices onto block rows.
-//
-//det:specwrite memoized pure leg matrix keyed by the pair; every store has exactly one writer goroutine and the cached values are bit-identical no matter when the fill ran
 func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
 	lo, hi := a, b
 	if lo.ID > hi.ID {
@@ -205,38 +185,6 @@ func (s *LegStore) Evict(orderID int) {
 			t.free = append(t.free, row)
 			delete(t.of, orderID)
 		}
-	}
-}
-
-// Adopt moves every block of the other store into this one, indexing them
-// per member for eviction; blocks already present win (they hold the same
-// pure cost values, so the choice is cosmetic). The sharded engine's insert
-// prewarm computes pair blocks into throwaway per-task stores on shard
-// goroutines, then adopts them into the pool's store on the coordinator —
-// the fills counter follows the blocks so accounting matches a sequential
-// fill. The other store must not be used afterwards.
-func (s *LegStore) Adopt(other *LegStore) {
-	// Adopt in (lo, hi) order: the byOrder index slices then grow in the
-	// same order however the shard scheduler interleaved the task stores,
-	// keeping even internal state bit-stable across runs.
-	keys := make([]pairKey, 0, len(other.blocks))
-	for key := range other.blocks {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b pairKey) int {
-		if a.lo != b.lo {
-			return a.lo - b.lo
-		}
-		return a.hi - b.hi
-	})
-	for _, key := range keys {
-		if _, ok := s.blocks[key]; ok {
-			continue
-		}
-		s.blocks[key] = other.blocks[key]
-		s.byOrder[key.lo] = append(s.byOrder[key.lo], key)
-		s.byOrder[key.hi] = append(s.byOrder[key.hi], key)
-		s.fills++
 	}
 }
 

@@ -3,8 +3,6 @@ package route
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"watter/internal/geo"
@@ -179,58 +177,5 @@ func TestLegStoreEvict(t *testing.T) {
 	store.block(a, b)
 	if _, fills := store.Stats(); fills != fillsBefore+1 {
 		t.Fatal("evicted block was resurrected instead of refilled")
-	}
-}
-
-// TestAdoptDeterministicOrder pins a fixed map-iteration leak in Adopt:
-// whatever order the donor store filled its blocks in, adopting the same
-// block set must leave identical byOrder indexes, grown in (lo, hi)
-// order — the sharded engine adopts per-task stores in whatever order the
-// scheduler produced them, and the pool's internal state must stay
-// bit-stable regardless. Repeated runs give Go's randomized map order
-// every chance to expose a regression.
-func TestAdoptDeterministicOrder(t *testing.T) {
-	net := roadnet.NewGridCity(8, 8, 100, 10)
-	rng := rand.New(rand.NewSource(5))
-	orders := randomGroup(net, rng, 8, 6)
-
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := range orders {
-		for j := i + 1; j < len(orders); j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	fill := func(ps []pair) *LegStore {
-		s := NewLegStore(net)
-		for _, p := range ps {
-			s.block(orders[p.i], orders[p.j])
-		}
-		return s
-	}
-	rev := make([]pair, len(pairs))
-	for i, p := range pairs {
-		rev[len(pairs)-1-i] = p
-	}
-
-	keyLess := func(x, y pairKey) int {
-		if x.lo != y.lo {
-			return x.lo - y.lo
-		}
-		return x.hi - y.hi
-	}
-	for it := 0; it < 10; it++ {
-		a, b := NewLegStore(net), NewLegStore(net)
-		a.Adopt(fill(pairs))
-		b.Adopt(fill(rev))
-		if !reflect.DeepEqual(a.byOrder, b.byOrder) {
-			t.Fatalf("iteration %d: byOrder differs between fill orders:\n%v\nvs\n%v",
-				it, a.byOrder, b.byOrder)
-		}
-		for id, keys := range a.byOrder {
-			if !slices.IsSortedFunc(keys, keyLess) {
-				t.Fatalf("iteration %d: byOrder[%d] not in (lo, hi) order: %v", it, id, keys)
-			}
-		}
 	}
 }

@@ -120,6 +120,11 @@ type Env struct {
 	// sink receives dispatch-level outcomes for the event bus; nil
 	// outside platform-driven runs. Installed via Stream.SetSink.
 	sink EventSink
+
+	// pending holds the IDs of admitted orders not yet served or
+	// rejected; Stream.Submit refuses to admit a second order under one
+	// of them.
+	pending map[int]struct{}
 }
 
 // Validate rejects parameter values the simulator cannot honor. There is
@@ -237,6 +242,7 @@ func (e *Env) commitGroup(w *order.Worker, approach float64, g *order.Group, now
 		response := now - o.Release
 		detour := st - o.DirectCost
 		e.Metrics.Served++
+		delete(e.pending, o.ID)
 		e.Metrics.ResponseSum += response
 		e.Metrics.DetourSum += detour
 		e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
@@ -300,6 +306,7 @@ func (e *Env) DispatchGroupWith(w *order.Worker, g *order.Group, now float64) bo
 		response := now - o.Release
 		detour := st - o.DirectCost
 		e.Metrics.Served++
+		delete(e.pending, o.ID)
 		e.Metrics.ResponseSum += response
 		e.Metrics.DetourSum += detour
 		e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
@@ -334,6 +341,7 @@ func (e *Env) ServeWithWorker(w *order.Worker, addedTravel float64) {
 // baselines).
 func (e *Env) ServeOrder(w *order.Worker, o *order.Order, response, detour float64) {
 	e.Metrics.Served++
+	delete(e.pending, o.ID)
 	e.Metrics.ResponseSum += response
 	e.Metrics.DetourSum += detour
 	e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
@@ -351,6 +359,7 @@ func (e *Env) ServeOrder(w *order.Worker, o *order.Order, response, detour float
 // Cost rejection term.
 func (e *Env) Reject(o *order.Order, now float64) {
 	e.Metrics.Rejected++
+	delete(e.pending, o.ID)
 	e.Metrics.PenaltySum += o.Penalty()
 	e.Metrics.RejectUnified += e.Cfg.UnifiedPenaltyFactor * o.DirectCost
 	if e.sink != nil {

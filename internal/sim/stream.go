@@ -40,6 +40,17 @@ type EventSink interface {
 // ErrStreamClosed is returned by Stream operations after Close.
 var ErrStreamClosed = errors.New("sim: stream closed")
 
+// ErrInvalidOrder is the typed admission error (test with errors.Is):
+// Submit wraps it when it refuses an order (see checkOrder).
+var ErrInvalidOrder = errors.New("sim: invalid order")
+
+// MaxTickSpan bounds, in periodic checks, how far past the clock an
+// order's deadline may lie. Admitting an order commits the stream to
+// firing every check up to its release (on Submit) and its deadline (on
+// Close), so an unbounded span would wedge the caller. 1<<20 checks is
+// about 121 days at the paper's Δt = 10 s.
+const MaxTickSpan = 1 << 20
+
 // Stream is the streaming simulation core: it owns the clock and the tick
 // cadence, admits orders one at a time, and drives the algorithm's hooks
 // exactly as the batch replay did — the batch Run is a thin adapter over
@@ -136,17 +147,10 @@ func (s *Stream) Submit(o *order.Order) error {
 	if s.closed {
 		return ErrStreamClosed
 	}
-	if o == nil {
-		return errors.New("sim: nil order")
+	if err := s.checkOrder(o); err != nil {
+		return err
 	}
 	s.start()
-	// Monotonicity is checked against delivered events only: before the
-	// first one the clock is not meaningful, so negative releases are
-	// admissible exactly as they were in the pre-redesign batch runner.
-	if s.delivered && o.Release < s.clock {
-		return fmt.Errorf("sim: order %d released at %.1f, but the clock is already at %.1f (orders must arrive in release order)",
-			o.ID, o.Release, s.clock)
-	}
 	for s.nextTick <= o.Release {
 		s.fireTick()
 	}
@@ -157,6 +161,10 @@ func (s *Stream) Submit(o *order.Order) error {
 		o.DirectCost = s.env.Net.Cost(o.Pickup, o.Dropoff)
 	}
 	s.env.Metrics.Total++
+	if s.env.pending == nil {
+		s.env.pending = make(map[int]struct{})
+	}
+	s.env.pending[o.ID] = struct{}{}
 	s.submitted++
 	s.lastRelease = o.Release
 	if o.Deadline > s.maxDeadline {
@@ -166,6 +174,40 @@ func (s *Stream) Submit(o *order.Order) error {
 		s.sink.OrderAdmitted(o, o.Release)
 	}
 	s.timed(func() { s.alg.OnOrder(o, o.Release) })
+	return nil
+}
+
+// checkOrder reports why Submit refuses o, as an ErrInvalidOrder: it
+// is nil or fails order.Validate, names a node outside the network,
+// reuses the ID of an order still pending (admitted, neither served nor
+// rejected), is released behind the clock, or has a deadline more than
+// MaxTickSpan checks past the clock.
+func (s *Stream) checkOrder(o *order.Order) error {
+	if o == nil {
+		return fmt.Errorf("%w: nil order", ErrInvalidOrder)
+	}
+	if err := o.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidOrder, err)
+	}
+	n := s.env.Net.NumNodes()
+	if o.Pickup < 0 || int(o.Pickup) >= n || o.Dropoff < 0 || int(o.Dropoff) >= n {
+		return fmt.Errorf("%w: order %d: pickup %d or dropoff %d outside the network's %d nodes",
+			ErrInvalidOrder, o.ID, o.Pickup, o.Dropoff, n)
+	}
+	if _, dup := s.env.pending[o.ID]; dup {
+		return fmt.Errorf("%w: order %d: an order with this ID is still pending", ErrInvalidOrder, o.ID)
+	}
+	// Monotonicity is checked against delivered events only: before the
+	// first one the clock is not meaningful, so negative releases are
+	// admissible exactly as they were in the pre-redesign batch runner.
+	if s.delivered && o.Release < s.clock {
+		return fmt.Errorf("%w: order %d released at %.1f, but the clock is already at %.1f (orders must arrive in release order)",
+			ErrInvalidOrder, o.ID, o.Release, s.clock)
+	}
+	if o.Deadline-s.clock > MaxTickSpan*s.opts.TickEvery {
+		return fmt.Errorf("%w: order %d: deadline %v is more than %d checks past the clock %v",
+			ErrInvalidOrder, o.ID, o.Deadline, MaxTickSpan, s.clock)
+	}
 	return nil
 }
 

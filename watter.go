@@ -57,7 +57,6 @@ import (
 	"watter/internal/pool"
 	"watter/internal/proxy"
 	"watter/internal/roadnet"
-	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/stats"
 	"watter/internal/strategy"
@@ -105,9 +104,6 @@ type (
 	// PoolCacheStats counts the shareability graph's plan-cache traffic
 	// (hits, negative hits, plans avoided/materialized).
 	PoolCacheStats = pool.CacheStats
-	// ShardStats counts the slot-sharded dispatch engine's speculation
-	// traffic (probe hits, invalidations, prewarm tasks, slot handoffs).
-	ShardStats = shard.Stats
 	// ExperimentParams is one experiment configuration point.
 	ExperimentParams = exp.Params
 	// ExperimentResult is one (algorithm, configuration) measurement.
@@ -149,8 +145,8 @@ type (
 	// ServiceRecord is one served order's share of a dispatch.
 	ServiceRecord = platform.ServiceRecord
 	// PlatformStats is the unified observability snapshot of one platform:
-	// lifecycle flags, the order ledger, event-bus depth, and the shard
-	// and pool-cache counters in one struct.
+	// lifecycle flags, the order ledger, event-bus depth, and the
+	// pool-cache counters in one struct.
 	PlatformStats = platform.Stats
 	// OrderCounts is PlatformStats' submitted/served/rejected/pending
 	// ledger.
@@ -254,6 +250,9 @@ var (
 	// ErrPlatformPaused is returned while a platform (or proxied city) is
 	// administratively paused.
 	ErrPlatformPaused = platform.ErrPaused
+	// ErrInvalidOrder is wrapped by Submit when it refuses an order
+	// (invalid or non-finite fields, unknown nodes, a pending ID).
+	ErrInvalidOrder = platform.ErrInvalidOrder
 	// ErrProxyClosed is returned by proxy operations after Proxy.Close.
 	ErrProxyClosed = proxy.ErrClosed
 	// ErrUnknownCity is returned when a city ID matches no owned platform.
@@ -294,10 +293,6 @@ var (
 	WithAlgorithm = platform.WithAlgorithm
 	// WithPool tunes the shareability graph behind the algorithm.
 	WithPool = platform.WithPool
-	// WithShards sets the dispatch engine's slot-shard count: K > 1 runs
-	// the periodic check's expensive read-only work on K goroutines with
-	// bit-identical results (1, the default, is the sequential check).
-	WithShards = platform.WithShards
 	// WithMeasuredTime toggles wall-clock accounting of algorithm hooks.
 	WithMeasuredTime = platform.WithMeasuredTime
 	// WithEventBuffer sizes the event channel (default 256).
